@@ -28,10 +28,10 @@ FIRMAMENT_BUDGET_GATE=1 ./build/scheduler_integration_test \
   --gtest_filter='SolveBudgetTest.Fig03ShapeDegradesWithinTwiceBudget'
 
 # Debug + ASan/UBSan leg: the cross-round caches (class-arc cache, Quincy
-# block->task index, persistent fixed-arc set) carry state between rounds,
-# so lifetime bugs — stale cache entries, dangling refs into a renumbered
-# view — corrupt results long after the mutation. Under sanitizers they
-# fail loudly at the faulting access instead. Skip with
+# block->task index) and the solvers' persistent views carry state between
+# rounds, so lifetime bugs — stale cache entries, dangling refs into a
+# renumbered view — corrupt results long after the mutation. Under
+# sanitizers they fail loudly at the faulting access instead. Skip with
 # FIRMAMENT_SKIP_SANITIZE=1 (e.g. toolchains without libasan).
 if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DFIRMAMENT_SANITIZE=ON
@@ -161,6 +161,25 @@ check_regressions fig07 "$BASELINE_DIR/fig07.json" BENCH_fig07_algorithm_compari
 cp BENCH_fig11_incremental.json "$BASELINE_DIR/fig11.json" 2>/dev/null || true
 ./build/bench_fig11_incremental
 check_regressions fig11 "$BASELINE_DIR/fig11.json" BENCH_fig11_incremental.json ./build/bench_fig11_incremental
+
+# Solver work-counter gate: push+relabel counts are deterministic, so the
+# incremental and scratch cost-scaling iteration means of both fig11 policy
+# rows must equal the committed baseline exactly. A count, not a time: one
+# run, no rerun. This machine-checks "same solver behaviour" for solver
+# refactors and subtractions.
+fig11_iters() {
+  sed -n 's/.*"name": "\(fig11\/[a-z_]*_policy\/[^"]*\)".*"incremental_iters": \([0-9.eE+-]*\).*"scratch_iters": \([0-9.eE+-]*\).*/\1 \2 \3/p' "$1" |
+    sort
+}
+iters_base="$(fig11_iters "$BASELINE_DIR/fig11.json" 2>/dev/null || true)"
+iters_fresh="$(fig11_iters BENCH_fig11_incremental.json)"
+echo "fig11 work counters (series incremental_iters scratch_iters):"
+echo "$iters_fresh"
+if [ "$(echo "$iters_base" | grep -c .)" -ne 2 ] || [ "$iters_base" != "$iters_fresh" ]; then
+  echo "bench-diff: fig11 cost-scaling work counters differ from the committed baseline:"
+  echo "$iters_base"
+  FAILED=1
+fi
 
 # Acceptance guard for the incremental view: with <1% of arcs changing per
 # round, journal patching must beat a full rebuild by >= 5x and every round

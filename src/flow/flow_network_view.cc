@@ -83,10 +83,6 @@ void FlowNetworkView::Rebuild(const FlowNetwork& net) {
   built_ = true;
   synced_uid_ = net.uid();
   synced_version_ = net.version();
-  // A rebuild renumbers the dense space: per-arc deltas are meaningless
-  // (consumers see the kRebuilt/kBuilt PrepareResult and treat every arc
-  // as touched).
-  touched_arcs_.clear();
 }
 
 bool FlowNetworkView::CanPatch(const FlowNetwork& net) const {
@@ -107,7 +103,6 @@ FlowNetworkView::PrepareResult FlowNetworkView::Prepare(const FlowNetwork& net) 
     return result;
   }
   if (synced_version_ == net.version()) {
-    touched_arcs_.clear();  // nothing changed since the last sync
     return PrepareResult::kPatched;  // already in sync; nothing to apply
   }
   size_t offset = static_cast<size_t>(synced_version_ - net.journal_base_version());
@@ -152,7 +147,6 @@ FlowNetworkView::PrepareResult FlowNetworkView::ApplyRange(
   if (!dense_arc_valid_) {
     BuildDenseArcMap();
   }
-  touched_arcs_.clear();
   for (size_t i = offset; i < changes.size(); ++i) {
     PatchOne(net, changes[i]);
   }
@@ -221,7 +215,6 @@ void FlowNetworkView::TombstoneArc(uint32_t a) {
   flow_[a] = 0;
   --live_arcs_;
   ++churn_;
-  touched_arcs_.push_back(a);
 }
 
 void FlowNetworkView::InsertAdjRef(uint32_t v, uint32_t ref) {
@@ -255,7 +248,6 @@ void FlowNetworkView::PatchOne(const FlowNetwork& net, const GraphChange& change
       uint32_t a = DenseArc(change.id);
       if (a != kInvalidDense) {
         cost_[a] = change.new_value;
-        touched_arcs_.push_back(a);
       }
       break;
     }
@@ -263,7 +255,6 @@ void FlowNetworkView::PatchOne(const FlowNetwork& net, const GraphChange& change
       uint32_t a = DenseArc(change.id);
       if (a != kInvalidDense) {
         capacity_[a] = change.new_value;
-        touched_arcs_.push_back(a);
       }
       break;
     }
@@ -324,7 +315,6 @@ void FlowNetworkView::PatchOne(const FlowNetwork& net, const GraphChange& change
       InsertAdjRef(d, MakeRef(a, /*reverse=*/true));
       ++live_arcs_;
       ++churn_;
-      touched_arcs_.push_back(a);
       break;
     }
     case GraphChange::Kind::kRemoveArc: {

@@ -14,25 +14,16 @@
 // Retained potentials are keyed by original NodeId, so warm starts survive
 // the per-solve renumbering (§5.2, Fig. 11).
 //
-// Two Goldberg-style heuristics [17] accelerate Refine:
-//  * Global price update: when discharging stalls (many relabels without
-//    draining the active set), a Dial-bucket shortest-path pass from the
-//    deficit nodes reprices every node at once, replacing thousands of
-//    one-ε relabels with one O(m) sweep.
-//  * Wave ordering: active nodes are discharged in descending π/ε bucket
-//    order (a lazy max-heap keyed by floor(π/ε)), an approximation of the
-//    admissible network's topological order — admissible arcs run from
-//    higher towards lower potential — so one wave carries excess many hops
-//    towards the deficits instead of FIFO ping-pong. Relabels raise a
-//    node's bucket, naturally resorting it; stale heap entries are dropped
-//    (or re-keyed after a global price update) on pop.
+// Global price update (Goldberg's heuristic [17]) accelerates Refine: when
+// discharging stalls (many relabels without draining the active set), a
+// Dial-bucket shortest-path pass from the deficit nodes reprices every node
+// at once, replacing thousands of one-ε relabels with one O(m) sweep.
+// Active nodes are discharged in FIFO order.
 
 #ifndef SRC_SOLVERS_COST_SCALING_H_
 #define SRC_SOLVERS_COST_SCALING_H_
 
 #include <cstdint>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/flow/flow_network_view.h"
@@ -51,37 +42,6 @@ struct CostScalingOptions {
   // return the current feasible but possibly suboptimal flow
   // (SolveOutcome::kApproximate; used by the §5.1 experiment).
   uint64_t time_budget_us = 0;
-  // Goldberg heuristics [17] (exposed for ablation). The global price
-  // update is a measured win on contended/large graphs and ~free elsewhere,
-  // so it defaults on. Wave ordering (discharge in descending π/ε buckets)
-  // reduces push/relabel counts but pays a heap log-factor per activation;
-  // on the shallow scheduling DAGs Firmament produces FIFO discharge
-  // remains the measured default (see the fig12 ablation).
-  bool global_price_update = true;
-  bool wave_ordering = false;
-  // Speculative arc fixing with repair (the ROADMAP follow-up to [17]):
-  // during each sub-jump-start refine phase, empty arcs whose reduced cost
-  // exceeds 3nε (the per-refine potential-movement bound, so admissibility
-  // provably cannot reach them within the phase) are excluded from the
-  // residual star — their forward residual is hidden, so discharge/relabel
-  // scans skip them before touching pi_[head]. Repair-by-saturation plus a
-  // re-drain covers the bound ever being beaten in practice. Measured
-  // iteration-neutral and wall-time-neutral (±5%) on fig03/fig11
-  // scheduling graphs — like wave_ordering it stays off by default, kept
-  // for ablation and for workloads with heavier cost spreads. (A tighter
-  // bar, e.g. 48ε, is measurably *harmful*: single relabels jump past it
-  // and every repair re-drain inflates the push/relabel count ~30-80%.)
-  bool arc_fixing = false;
-  // Persist the fixed set across phases and across warm-started rounds
-  // instead of restoring + re-deriving it at every phase boundary: at each
-  // phase start surviving entries are only *validated* against the new 3nε
-  // bar, and at each warm Solve() the set is re-armed on the patched view
-  // after unfixing exactly the arcs the round's GraphChange journal touched
-  // (cost/capacity deltas, tombstones — FlowNetworkView::touched_arcs()),
-  // the arcs the previous winner's flow uses, and everything whenever the
-  // view fell off the patch path (rebuild renumbers the dense space). OFF
-  // restores the per-phase derive/restore cycle for ablation.
-  bool arc_fix_persist = true;
 };
 
 class CostScaling : public McmfSolver {
@@ -105,12 +65,6 @@ class CostScaling : public McmfSolver {
   // incremental mode.
   void ResetState();
 
-  // The retained fixed set (dense forward refs into the solver's view, with
-  // the hidden residual amounts). Exposed for the journal-unfix regression
-  // test, which mutates arcs known to be in the set and asserts they are
-  // dropped at the next re-arm.
-  const std::vector<std::pair<uint32_t, int64_t>>& fixed_arcs() const { return fixed_; }
-
  private:
   enum class RefineResult : uint8_t {
     kOk,         // flow is feasible and eps-optimal
@@ -122,12 +76,9 @@ class CostScaling : public McmfSolver {
     kDeadline,   // round solve deadline expired (McmfSolver::set_deadline)
   };
   // One refine phase on the view: makes the flow feasible and eps-optimal.
-  // `allow_arc_fixing` enables speculative arc fixing for this phase (the
-  // caller disables it for globally-restructuring phases, e.g. ε = scale
-  // cold starts).
   RefineResult Refine(FlowNetworkView* view, int64_t eps, SolveStats* stats,
-                      const std::atomic<bool>* cancel, bool price_update_first = false,
-                      uint64_t iteration_budget = 0, bool allow_arc_fixing = false);
+                      const std::atomic<bool>* cancel, bool price_update_first,
+                      uint64_t iteration_budget);
   // Dial-bucket shortest-path repricing from the deficit nodes (global
   // price update heuristic [17]). Raises pi_ so that every settled active
   // node regains an admissible path towards a deficit.
@@ -150,30 +101,9 @@ class CostScaling : public McmfSolver {
   std::vector<uint32_t> cur_arc_;
   std::vector<uint32_t> relabel_count_;
   std::vector<bool> in_queue_;
-  // Wave-ordering bucket array (v2): active nodes grouped by π/ε bucket and
-  // discharged highest-bucket-first. Replaces the v1 comparison max-heap —
-  // push and pop are O(1) array ops instead of O(log n) sift/compare, which
-  // was the heap churn that made v1 lose wall time despite fewer
-  // push/relabel iterations. Entries are lazy exactly as before: a node
-  // drained before its pop is skipped, and stored keys only under-estimate
-  // (π rises monotonically within a refine), so the popped order remains a
-  // valid upstream-first approximation without re-keying. wave_base_ is the
-  // key of bucket 0 (keys can be negative); wave_top_ the scan pointer at
-  // the highest non-empty bucket; wave_size_ the live entry count.
-  std::vector<std::vector<uint32_t>> wave_buckets_;
-  int64_t wave_base_ = 0;
-  size_t wave_top_ = 0;
-  size_t wave_size_ = 0;
   // Global price update scratch.
   std::vector<uint32_t> dist_;
   std::vector<std::vector<uint32_t>> buckets_;
-  // Arc fixing: (forward ref, hidden residual) pairs. With arc_fix_persist
-  // the set survives phase boundaries and — via the re-arm step in
-  // SolveView, which unfixes journal-touched arcs — warm-started rounds;
-  // error paths always drain (restore) it. Without persistence it is
-  // restored at every phase end as before.
-  std::vector<std::pair<uint32_t, int64_t>> fixed_;
-  std::unordered_set<uint32_t> touched_scratch_;  // re-arm journal filter
 };
 
 }  // namespace firmament

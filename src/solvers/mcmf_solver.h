@@ -91,14 +91,6 @@ struct SolveStats {
   // this round, and what that preparation (patch/rebuild + flow sync) cost.
   FlowNetworkView::PrepareResult view_prep = FlowNetworkView::PrepareResult::kBuilt;
   uint64_t view_prep_us = 0;
-  // Peak number of arcs hidden by speculative arc fixing during the solve
-  // (cost scaling only; 0 when the heuristic is off). Lets tests and benches
-  // confirm the persistent fixed set actually re-armed across rounds.
-  uint64_t arcs_fixed = 0;
-  // Retained fixed-set entries dropped at the warm-start re-arm because the
-  // round's journal touched them (cost/capacity delta, tombstone) or the
-  // carried flow uses them — the journal-driven unfix path's audit counter.
-  uint64_t arcs_unfixed = 0;
   // Racing mode only: microseconds between handing the cost-scaling leg to
   // the racing solver's persistent worker and the worker picking it up.
   // With the former per-round std::thread this slot held a full thread

@@ -11,19 +11,10 @@ namespace firmament {
 
 namespace {
 
-RelaxationOptions MakeRelaxationOptions(const RacingSolverOptions& options) {
-  RelaxationOptions relax;
-  relax.arc_prioritization = options.arc_prioritization;
-  relax.incremental = false;  // relaxation runs from scratch each round (§6.2)
-  return relax;
-}
-
 CostScalingOptions MakeCostScalingOptions(const RacingSolverOptions& options) {
   CostScalingOptions cs;
   cs.alpha = options.cost_scaling_alpha;
   cs.incremental = options.mode != SolverMode::kCostScalingScratch;
-  cs.arc_fixing = options.cost_scaling_arc_fixing;
-  cs.arc_fix_persist = options.cost_scaling_arc_fix_persist;
   return cs;
 }
 
@@ -31,7 +22,6 @@ CostScalingOptions MakeCostScalingOptions(const RacingSolverOptions& options) {
 
 RacingSolver::RacingSolver(RacingSolverOptions options)
     : options_(options),
-      relaxation_(MakeRelaxationOptions(options)),
       cost_scaling_(MakeCostScalingOptions(options)) {}
 
 void RacingSolver::ResetState() {
@@ -159,18 +149,14 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   (relaxation_won ? relaxation_.view() : cost_scaling_.view()).WriteBackFlow(network);
 
   if (relaxation_won) {
-    // Hand the solution to incremental cost scaling for the next round. With
-    // price refine (§6.2) we recompute reduced potentials from the flow;
-    // without it (Fig. 13 ablation) cost scaling inherits relaxation's raw,
-    // typically much larger, potentials.
+    // Hand the solution to incremental cost scaling for the next round:
+    // price refine (§6.2) recomputes reduced potentials from the flow, which
+    // warm-start far better than relaxation's raw, typically much larger,
+    // potentials (Fig. 13).
     WallTimer refine_timer;
-    if (options_.price_refine_on_handoff) {
-      std::vector<int64_t> refined;
-      CHECK(PriceRefine(*network, &refined));
-      cost_scaling_.ImportPotentials(std::move(refined));
-    } else {
-      cost_scaling_.ImportPotentials(relaxation_.potentials());
-    }
+    std::vector<int64_t> refined;
+    CHECK(PriceRefine(*network, &refined));
+    cost_scaling_.ImportPotentials(std::move(refined));
     last_round_.price_refine_us = refine_timer.ElapsedMicros();
   }
   return result;

@@ -278,7 +278,6 @@ TEST(FlowViewIncrementalTest, FourSolverCostCrossCheckOnPatchedViews) {
   SuccessiveShortestPath ssp;
   CostScalingOptions cs_options;
   cs_options.incremental = true;
-  cs_options.arc_fixing = true;  // exercise fixing + repair on the warm path
   CostScaling cost_scaling(cs_options);
   Relaxation relaxation;
   McmfSolver* solvers[] = {&cycle_canceling, &ssp, &cost_scaling, &relaxation};
@@ -383,19 +382,13 @@ TEST(FlowViewIncrementalTest, CopiedNetworkForcesRebuildNotStalePatch) {
   EXPECT_EQ(stats.total_cost, scratch.Solve(&scratch_net).total_cost);
 }
 
-// Arc fixing composed with wave ordering (the ablation pair with the most
-// intricate active-set accounting: repair drains/activates nodes while the
-// wave sweep holds its own activation token for the node mid-discharge).
-// Every solve must match plain cost scaling and pass the optimality
-// checker — a miscounted active set ends the sweep early and returns an
-// infeasible flow labelled optimal.
-class WaveFixingTest : public ::testing::TestWithParam<uint64_t> {};
+// Cost scaling on random transport graphs with a huge cost spread, where
+// the scaling ladder runs many more phases than on the shallow scheduling
+// graphs. Every solve must pass the optimality checker and match successive
+// shortest path's cost.
+class HighCostSpreadTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(WaveFixingTest, WaveOrderingPlusArcFixingStaysExact) {
-  // Random transport graphs with a huge cost spread put many arcs past the
-  // 3nε fixing bar while repair occasionally has to saturate one whose
-  // source is the node mid-discharge — the exact interaction that once
-  // double-decremented the wave active set.
+TEST_P(HighCostSpreadTest, CostScalingMatchesSuccessiveShortestPath) {
   const uint64_t seed = GetParam();
   for (int trial = 0; trial < 40; ++trial) {
     TransportGraphSpec spec;
@@ -406,32 +399,27 @@ TEST_P(WaveFixingTest, WaveOrderingPlusArcFixingStaysExact) {
     spec.max_cost = 10'000'000;
     FlowNetwork net = MakeTransportGraph(spec);
 
-    CostScalingOptions options;
-    options.wave_ordering = true;
-    options.arc_fixing = true;
-    CostScaling wave_fixing(options);
-    SolveStats stats = wave_fixing.Solve(&net);
+    CostScaling cost_scaling;
+    SolveStats stats = cost_scaling.Solve(&net);
     ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "trial " << trial;
     CheckResult check = CheckOptimality(net);
     ASSERT_TRUE(check.ok()) << "trial " << trial << ": " << check.message;
 
-    FlowNetwork plain_net = MakeTransportGraph(spec);
-    CostScaling plain;
-    EXPECT_EQ(stats.total_cost, plain.Solve(&plain_net).total_cost) << "trial " << trial;
+    FlowNetwork ssp_net = MakeTransportGraph(spec);
+    SuccessiveShortestPath ssp;
+    EXPECT_EQ(stats.total_cost, ssp.Solve(&ssp_net).total_cost) << "trial " << trial;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, WaveFixingTest, ::testing::Range<uint64_t>(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, HighCostSpreadTest, ::testing::Range<uint64_t>(0, 6));
 
-// Journal-driven unfix regression for persistent arc fixing: across
-// warm-started rounds the fixed set survives in the solver, and the re-arm
-// step must unfix every arc the round's GraphChange journal touched. The
-// churn below specifically drops the cost of empty, expensive arcs — the
-// exact population arc fixing hides — making them the new optimal routes; a
-// stale fixed arc would leave incremental cost scaling blind to the cheap
-// route and its cost above the three reference solvers'. Optimality is also
-// re-certified against the full network (hidden arcs included) each round.
-TEST(FlowViewIncrementalTest, PersistentArcFixingUnfixesJournalTouchedArcs) {
+// Warm starts across cost drops: between rounds the churn below drops the
+// cost of empty, expensive task arcs to near zero, making them the new
+// optimal routes. Incremental cost scaling warm-starts from the previous
+// round's flow and potentials, in which those arcs looked hopeless; its
+// patched view and measured starting ε must still find the cheap routes,
+// so its cost must match three reference solvers' every round.
+TEST(FlowViewIncrementalTest, WarmStartFollowsCostDropsOnEmptyArcs) {
   SchedulingGraphSpec spec;
   spec.seed = 4242;
   spec.num_tasks = 150;
@@ -443,16 +431,12 @@ TEST(FlowViewIncrementalTest, PersistentArcFixingUnfixesJournalTouchedArcs) {
 
   CostScalingOptions cs_options;
   cs_options.incremental = true;
-  cs_options.arc_fixing = true;
-  cs_options.arc_fix_persist = true;
   CostScaling cost_scaling(cs_options);
   CycleCanceling cycle_canceling;
   SuccessiveShortestPath ssp;
   Relaxation relaxation;
   McmfSolver* references[] = {&cycle_canceling, &ssp, &relaxation};
 
-  uint64_t rounds_with_fixing = 0;
-  size_t mutated_fixed_arcs = 0;  // fixed-set arcs whose cost we dropped last round
   for (int round = 0; round < 10; ++round) {
     SolveStats stats = cost_scaling.Solve(&net);
     ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
@@ -460,18 +444,11 @@ TEST(FlowViewIncrementalTest, PersistentArcFixingUnfixesJournalTouchedArcs) {
       EXPECT_EQ(stats.view_prep, FlowNetworkView::PrepareResult::kPatched)
           << "cost-delta churn must stay on the patch path, round " << round;
     }
-    // The unfix contract, asserted directly: every retained entry whose arc
-    // the journal touched must have been dropped at this round's re-arm.
-    // (The per-phase bar validation would eventually repair a stale entry
-    // too, so the cost cross-check alone cannot distinguish — this counter
-    // can.)
-    EXPECT_GE(stats.arcs_unfixed, mutated_fixed_arcs) << "round " << round;
-    rounds_with_fixing += stats.arcs_fixed > 0 ? 1 : 0;
     CheckResult check = CheckOptimality(net);
     EXPECT_TRUE(check.ok()) << "round " << round << ": " << check.message;
     for (McmfSolver* solver : references) {
       // Cross-check on a copy so the canonical journal keeps feeding the
-      // persistent-fixing solver's patch path.
+      // incremental solver's patch path.
       FlowNetwork copy = net;
       SolveStats other = solver->Solve(&copy);
       ASSERT_EQ(other.outcome, SolveOutcome::kOptimal)
@@ -480,8 +457,8 @@ TEST(FlowViewIncrementalTest, PersistentArcFixingUnfixesJournalTouchedArcs) {
     }
 
     // Cost/capacity churn between rounds, recorded in the journal. Dropping
-    // empty expensive task arcs to ~free is the adversarial case: those are
-    // precisely the arcs the previous round fixed.
+    // empty expensive task arcs to ~free is the adversarial case: the
+    // retained potentials price them far from admissible.
     std::vector<ArcId> arcs;
     for (NodeId node : net.ValidNodes()) {
       for (ArcRef ref : net.Adjacency(node)) {
@@ -500,18 +477,6 @@ TEST(FlowViewIncrementalTest, PersistentArcFixingUnfixesJournalTouchedArcs) {
       }
     }
     EXPECT_GT(dropped, 0) << "round " << round;
-    // Additionally mutate arcs KNOWN to be in the retained fixed set: these
-    // must show up in next round's arcs_unfixed counter.
-    mutated_fixed_arcs = 0;
-    const auto& fixed = cost_scaling.fixed_arcs();
-    for (size_t i = 0; i < fixed.size() && mutated_fixed_arcs < 3; ++i) {
-      uint32_t dense = FlowNetworkView::RefArc(fixed[i].first);
-      ArcId orig = cost_scaling.view().OrigArc(dense);
-      if (orig != kInvalidArcId && net.IsValidArc(orig)) {
-        net.SetArcCost(orig, rng.NextInt(0, 5));
-        ++mutated_fixed_arcs;
-      }
-    }
     for (int i = 0; i < 4; ++i) {
       ArcId arc = arcs[rng.NextUint64(arcs.size())];
       net.SetArcCost(arc, rng.NextInt(0, spec.max_cost));
@@ -525,9 +490,6 @@ TEST(FlowViewIncrementalTest, PersistentArcFixingUnfixesJournalTouchedArcs) {
       }
     }
   }
-  // The heuristic must have actually engaged, or the unfix path was never
-  // under test.
-  EXPECT_GT(rounds_with_fixing, 0u);
 }
 
 // Mutating a network while recording is disabled must invalidate the patch
