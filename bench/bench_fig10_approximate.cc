@@ -7,6 +7,8 @@
 // machine than in the optimal solution.
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -26,13 +28,16 @@ struct Point {
 };
 std::vector<Point> g_points;
 
-size_t CountMisplaced(const std::unordered_map<TaskId, MachineId>& optimal,
-                      const std::unordered_map<TaskId, MachineId>& approx) {
+using Placements = std::vector<std::pair<TaskId, MachineId>>;
+
+size_t CountMisplaced(const Placements& optimal, const Placements& approx) {
+  // Tasks an approximate pseudoflow leaves unresolved are absent from
+  // `approx` and count as unplaced.
+  std::unordered_map<TaskId, MachineId> approx_machine(approx.begin(), approx.end());
   size_t misplaced = 0;
   for (const auto& [task, machine] : optimal) {
-    auto it = approx.find(task);
-    MachineId approx_machine = it == approx.end() ? kInvalidMachineId : it->second;
-    if (approx_machine != machine) {
+    auto it = approx_machine.find(task);
+    if ((it == approx_machine.end() ? kInvalidMachineId : it->second) != machine) {
       ++misplaced;
     }
   }
@@ -55,8 +60,7 @@ void Approximate(benchmark::State& state) {
   FlowNetwork optimal_net = base;
   SolveStats full_stats = full_solver.Solve(&optimal_net);
   env.network()->CopyFlowFrom(optimal_net);
-  std::unordered_map<TaskId, MachineId> cs_optimal =
-      ExtractPlacements(env.manager()).placements;
+  Placements cs_optimal = ExtractPlacements(env.manager()).placements;
   double full_s = static_cast<double>(full_stats.runtime_us) / 1e6;
 
   Relaxation relax_ref;
@@ -64,8 +68,7 @@ void Approximate(benchmark::State& state) {
   double relax_full_s =
       static_cast<double>(relax_ref.Solve(&relax_net_ref).runtime_us) / 1e6;
   env.network()->CopyFlowFrom(relax_net_ref);
-  std::unordered_map<TaskId, MachineId> relax_optimal =
-      ExtractPlacements(env.manager()).placements;
+  Placements relax_optimal = ExtractPlacements(env.manager()).placements;
 
   for (auto _ : state) {
     for (double fraction : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {

@@ -20,6 +20,13 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+# End-to-end determinism self-test (vtbench, built into .bench_build/): per
+# workload, same-seed runs must give identical placements under cost
+# scaling and identical trace-driven calls under the race. Machine-checks
+# that the placement extractor's resolution order — the order deltas are
+# applied within a round — is a function of the network alone.
+python3 vtbench/run.py --selftest --seconds 2
+
 # Solve-budget gate: the fig03/1250 shape under a 1 ms budget must come back
 # kDegraded with the solver abandoning the round inside 2x the budget (the
 # strict wall bound only arms on this release binary; sanitizer legs run the

@@ -112,6 +112,12 @@ class ClusterState {
   const TaskDescriptor& task(TaskId id) const;
   TaskDescriptor& mutable_task(TaskId id);
   bool HasTask(TaskId id) const { return tasks_.count(id) != 0; }
+  // One-lookup variant of HasTask + task(): nullptr if the task is unknown
+  // (never added, or completed and forgotten).
+  const TaskDescriptor* FindTask(TaskId id) const {
+    auto it = tasks_.find(id);
+    return it == tasks_.end() ? nullptr : &it->second;
+  }
   size_t num_tasks() const { return tasks_.size(); }
 
   // --- Task lifecycle ----------------------------------------------------

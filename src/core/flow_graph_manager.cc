@@ -6,6 +6,20 @@
 
 namespace firmament {
 
+namespace {
+
+// Records `value` for `node` in a NodeId-indexed table, growing it with
+// `invalid` fill as needed.
+template <typename T>
+void SetNodeSlot(std::vector<T>* table, NodeId node, T value, T invalid) {
+  if (node >= table->size()) {
+    table->resize(node + 1, invalid);
+  }
+  (*table)[node] = value;
+}
+
+}  // namespace
+
 FlowGraphManager::FlowGraphManager(ClusterState* cluster, SchedulingPolicy* policy,
                                    FlowGraphManagerOptions options)
     : cluster_(cluster), policy_(policy), options_(options) {
@@ -20,8 +34,7 @@ NodeId FlowGraphManager::NodeForMachine(MachineId machine) const {
 }
 
 MachineId FlowGraphManager::MachineForNode(NodeId node) const {
-  auto it = node_to_machine_.find(node);
-  return it == node_to_machine_.end() ? kInvalidMachineId : it->second;
+  return node < node_to_machine_.size() ? node_to_machine_[node] : kInvalidMachineId;
 }
 
 NodeId FlowGraphManager::NodeForTask(TaskId task) const {
@@ -30,8 +43,7 @@ NodeId FlowGraphManager::NodeForTask(TaskId task) const {
 }
 
 TaskId FlowGraphManager::TaskForNode(NodeId node) const {
-  auto it = node_to_task_.find(node);
-  return it == node_to_task_.end() ? kInvalidTaskId : it->second;
+  return node < node_to_task_.size() ? node_to_task_[node] : kInvalidTaskId;
 }
 
 std::string FlowGraphManager::AggregatorKeyForNode(NodeId node) const {
@@ -79,7 +91,7 @@ bool FlowGraphManager::AddMachine(MachineId machine) {
   }
   NodeId node = network_.AddNode(0, NodeKind::kMachine);
   machine_to_node_.emplace(machine, node);
-  node_to_machine_.emplace(node, machine);
+  SetNodeSlot(&node_to_machine_, node, machine, kInvalidMachineId);
   ArcId to_sink = network_.AddArc(node, sink_, cluster_->machine(machine).spec.slots, 0);
   machine_sink_arc_.emplace(machine, to_sink);
   pending_machines_added_.insert(machine);
@@ -96,7 +108,7 @@ bool FlowGraphManager::RemoveMachine(MachineId machine) {
   policy_->OnMachineRemoved(machine);
   PurgeArcsTo(node);
   network_.RemoveNode(node);
-  node_to_machine_.erase(node);
+  node_to_machine_[node] = kInvalidMachineId;
   machine_to_node_.erase(it);
   machine_sink_arc_.erase(machine);
   pending_machines_added_.erase(machine);
@@ -182,9 +194,9 @@ void FlowGraphManager::PurgeArcsTo(NodeId node) {
       continue;  // outgoing arc (e.g. machine -> sink); no holder to purge
     }
     NodeId src = network_.Src(FlowNetwork::RefArc(ref));
-    auto task_it = node_to_task_.find(src);
-    if (task_it != node_to_task_.end()) {
-      EraseArcsTo(&task_info_[task_it->second].arcs, node);
+    TaskId task = TaskForNode(src);
+    if (task != kInvalidTaskId) {
+      EraseArcsTo(&task_info_[task].arcs, node);
       continue;
     }
     auto agg_it = node_to_aggregator_.find(src);
@@ -251,7 +263,7 @@ bool FlowGraphManager::AddTask(TaskId task_id, SimTime now) {
   const TaskDescriptor& task = cluster_->task(task_id);
   TaskInfo info;
   info.node = network_.AddNode(1, NodeKind::kTask);
-  node_to_task_.emplace(info.node, task_id);
+  SetNodeSlot(&node_to_task_, info.node, task_id, kInvalidTaskId);
 
   JobInfo& job = job_info_[task.job];
   if (job.unscheduled_node == kInvalidNodeId) {
@@ -294,7 +306,7 @@ bool FlowGraphManager::RemoveTask(TaskId task_id) {
   // these lookups are O(1) no-ops in practice.
   InvalidateClassesReferencing(node);
   network_.RemoveNode(node);
-  node_to_task_.erase(node);
+  node_to_task_[node] = kInvalidTaskId;
   task_info_.erase(it);
   network_.SetNodeSupply(sink_, network_.Supply(sink_) + 1);
 
@@ -430,9 +442,7 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
                 (who + ": node invalid or wrong kind").c_str())) {
       continue;
     }
-    auto rev = node_to_machine_.find(node);
-    expect(rev != node_to_machine_.end() && rev->second == machine,
-           (who + ": node->machine map mismatch").c_str());
+    expect(MachineForNode(node) == machine, (who + ": node->machine map mismatch").c_str());
     auto arc_it = machine_sink_arc_.find(machine);
     if (expect(arc_it != machine_sink_arc_.end(), (who + ": sink arc missing").c_str())) {
       ArcId to_sink = arc_it->second;
@@ -442,7 +452,12 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
     }
     ++verified;
   }
-  expect(node_to_machine_.size() == machine_to_node_.size(),
+  // The reverse tables are NodeId-indexed: beyond the forward checks, no
+  // slot may stay valid for an entity that is gone.
+  auto valid_slots = [](const auto& table, auto invalid) {
+    return table.size() - static_cast<size_t>(std::count(table.begin(), table.end(), invalid));
+  };
+  expect(valid_slots(node_to_machine_, kInvalidMachineId) == machine_to_node_.size(),
          "node->machine map carries extra entries");
   int64_t task_nodes = 0;
   for (const auto& [task, info] : task_info_) {
@@ -452,9 +467,7 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
       continue;
     }
     expect(network_.Supply(info.node) == 1, (who + ": supply != 1").c_str());
-    auto rev = node_to_task_.find(info.node);
-    expect(rev != node_to_task_.end() && rev->second == task,
-           (who + ": node->task map mismatch").c_str());
+    expect(TaskForNode(info.node) == task, (who + ": node->task map mismatch").c_str());
     expect(network_.IsValidArc(info.unscheduled_arc) &&
                network_.Src(info.unscheduled_arc) == info.node,
            (who + ": unscheduled arc invalid or mis-wired").c_str());
@@ -467,6 +480,8 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
     ++verified;
   }
   expect(network_.Supply(sink_) == -task_nodes, "sink supply != -task_nodes");
+  expect(valid_slots(node_to_task_, kInvalidTaskId) == task_info_.size(),
+         "node->task map carries extra entries");
   for (const auto& [key, info] : aggregators_) {
     const std::string who = "aggregator " + key;
     if (!expect(network_.IsValidNode(info.node), (who + ": node invalid").c_str())) {

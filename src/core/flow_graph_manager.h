@@ -358,9 +358,13 @@ class FlowGraphManager {
   NodeId sink_ = kInvalidNodeId;
 
   std::unordered_map<MachineId, NodeId> machine_to_node_;
-  std::unordered_map<NodeId, MachineId> node_to_machine_;
   std::unordered_map<TaskId, TaskInfo> task_info_;
-  std::unordered_map<NodeId, TaskId> node_to_task_;
+  // NodeId-indexed reverse tables (kInvalidMachineId / kInvalidTaskId where
+  // the node is no machine / task node, grown on demand): extraction probes
+  // them for every resolved node each round, so they are flat arrays rather
+  // than hash maps.
+  std::vector<MachineId> node_to_machine_;
+  std::vector<TaskId> node_to_task_;
   std::unordered_map<JobId, JobInfo> job_info_;
   std::unordered_map<NodeId, JobId> node_to_job_;
   std::unordered_map<MachineId, ArcId> machine_sink_arc_;

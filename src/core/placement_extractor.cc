@@ -1,8 +1,7 @@
 #include "src/core/placement_extractor.h"
 
 #include <algorithm>
-#include <deque>
-#include <vector>
+#include <cstddef>
 
 #include "src/base/check.h"
 
@@ -11,20 +10,27 @@ namespace firmament {
 ExtractionResult ExtractPlacements(const FlowGraphManager& manager) {
   const FlowNetwork& net = manager.network();
   const NodeId sink = manager.sink();
+  const NodeId capacity = net.NodeCapacity();
   ExtractionResult result;
+  result.placements.reserve(manager.num_task_nodes());
 
-  // destinations[v]: machine ids (kInvalidMachineId = unscheduled) that v's
-  // outgoing flow ultimately reaches; filled once v is resolved.
-  std::vector<std::vector<MachineId>> destinations(net.NodeCapacity());
-  // Remaining outgoing flow for which v has not yet received destinations.
-  std::vector<int64_t> pending(net.NodeCapacity(), 0);
-  std::deque<NodeId> resolved;
+  // Node v's destinations — machine ids (kInvalidMachineId = unscheduled)
+  // that its outgoing flow ultimately reaches — occupy the slice
+  // dests[begin[v], begin[v] + outflow(v)) of one flat buffer; filled[v] of
+  // them have arrived so far. pending[v] is the outgoing flow for which v
+  // has not yet received destinations.
+  std::vector<size_t> begin(capacity, 0);
+  std::vector<size_t> filled(capacity, 0);
+  std::vector<int64_t> pending(capacity, 0);
 
+  // Pass 1: outflow (held in pending for now) and flow straight into the
+  // sink (held in filled) per node.
   for (NodeId node : net.ValidNodes()) {
     if (node == sink) {
       continue;
     }
     int64_t outflow = 0;
+    int64_t to_sink = 0;
     for (ArcRef ref : net.Adjacency(node)) {
       if (FlowNetwork::RefIsReverse(ref)) {
         continue;
@@ -36,30 +42,51 @@ ExtractionResult ExtractPlacements(const FlowGraphManager& manager) {
       }
       outflow += flow;
       if (net.Dst(arc) == sink) {
-        // Flow into the sink resolves immediately: a machine delivers its own
-        // identity, an unscheduled aggregator delivers "unplaced".
-        MachineId self = net.Kind(node) == NodeKind::kMachine ? manager.MachineForNode(node)
-                                                              : kInvalidMachineId;
-        destinations[node].insert(destinations[node].end(), static_cast<size_t>(flow), self);
+        to_sink += flow;
       }
     }
-    pending[node] = outflow - static_cast<int64_t>(destinations[node].size());
+    pending[node] = outflow;
+    filled[node] = static_cast<size_t>(to_sink);
+  }
+  size_t total = 0;
+  for (NodeId node = 0; node < capacity; ++node) {
+    begin[node] = total;
+    total += static_cast<size_t>(pending[node]);
+  }
+  std::vector<MachineId> dests(total);
+
+  // Flow into the sink resolves immediately: a machine delivers its own
+  // identity, an unscheduled aggregator delivers "unplaced".
+  std::vector<NodeId> resolved;
+  resolved.reserve(net.NumNodes());
+  for (NodeId node : net.ValidNodes()) {
+    if (node == sink) {
+      continue;
+    }
+    const int64_t outflow = pending[node];
+    if (filled[node] > 0) {
+      MachineId self = net.Kind(node) == NodeKind::kMachine ? manager.MachineForNode(node)
+                                                            : kInvalidMachineId;
+      std::fill_n(dests.begin() + static_cast<ptrdiff_t>(begin[node]), filled[node], self);
+    }
+    pending[node] = outflow - static_cast<int64_t>(filled[node]);
     if (outflow > 0 && pending[node] == 0) {
       resolved.push_back(node);
     }
   }
 
-  // Propagate destinations backwards along incoming flow (Listing 1).
-  while (!resolved.empty()) {
-    NodeId node = resolved.front();
-    resolved.pop_front();
+  // Propagate destinations backwards along incoming flow (Listing 1). Each
+  // node resolves at most once, so `resolved` doubles as the FIFO queue.
+  for (size_t head = 0; head < resolved.size(); ++head) {
+    const NodeId node = resolved[head];
+    const MachineId* node_dests = dests.data() + begin[node];
+    const size_t count = filled[node];
     TaskId task = manager.TaskForNode(node);
     if (task != kInvalidTaskId) {
-      CHECK(!destinations[node].empty());
-      result.placements[task] = destinations[node].back();
+      CHECK_GT(count, 0u);
+      result.placements.emplace_back(task, node_dests[count - 1]);
       continue;
     }
-    std::vector<MachineId>& dests = destinations[node];
     size_t cursor = 0;
     for (ArcRef ref : net.Adjacency(node)) {
       if (!FlowNetwork::RefIsReverse(ref)) {
@@ -76,12 +103,13 @@ ExtractionResult ExtractPlacements(const FlowGraphManager& manager) {
       // approximate, infeasible pseudoflows (§5.1) nodes with unrouted
       // excess simply deliver fewer destinations, leaving their upstream
       // tasks unplaced.
-      int64_t available = static_cast<int64_t>(dests.size()) - static_cast<int64_t>(cursor);
-      int64_t moved = std::min(flow, available);
-      for (int64_t i = 0; i < moved; ++i) {
-        destinations[src].push_back(dests[cursor++]);
-      }
-      pending[src] -= moved;
+      size_t moved = std::min(static_cast<size_t>(flow), count - cursor);
+      DCHECK_LE(static_cast<int64_t>(moved), pending[src]);
+      std::copy_n(node_dests + cursor, moved,
+                  dests.begin() + static_cast<ptrdiff_t>(begin[src] + filled[src]));
+      cursor += moved;
+      filled[src] += moved;
+      pending[src] -= static_cast<int64_t>(moved);
       if (pending[src] == 0) {
         resolved.push_back(src);
       }

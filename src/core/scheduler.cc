@@ -461,10 +461,11 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
 
   // Diff extracted placements against current task state.
   for (const auto& [task_id, machine] : extraction.placements) {
-    if (!cluster_->HasTask(task_id)) {
+    const TaskDescriptor* found = cluster_->FindTask(task_id);
+    if (found == nullptr) {
       continue;  // completed while the solver was running (and forgotten)
     }
-    const TaskDescriptor& task = cluster_->task(task_id);
+    const TaskDescriptor& task = *found;
     if (task.state == TaskState::kCompleted) {
       // Completed mid-round with the graph half staged: the node (and its
       // flow) are still in the extraction, but the task needs no action —

@@ -152,10 +152,12 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
     // Hand the solution to incremental cost scaling for the next round:
     // price refine (§6.2) recomputes reduced potentials from the flow, which
     // warm-start far better than relaxation's raw, typically much larger,
-    // potentials (Fig. 13).
+    // potentials (Fig. 13). Relaxation's persistent view holds exactly the
+    // graph and flow just written back, so refine runs on it and no view is
+    // built for the handoff.
     WallTimer refine_timer;
     std::vector<int64_t> refined;
-    CHECK(PriceRefine(*network, &refined));
+    CHECK(PriceRefine(relaxation_.view(), &refined));
     cost_scaling_.ImportPotentials(std::move(refined));
     last_round_.price_refine_us = refine_timer.ElapsedMicros();
   }

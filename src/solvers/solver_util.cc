@@ -79,6 +79,15 @@ bool ComputeOptimalPotentials(const FlowNetworkView& view, std::vector<int64_t>*
   return true;
 }
 
+bool PriceRefine(const FlowNetworkView& view, std::vector<int64_t>* potential) {
+  std::vector<int64_t> dense;
+  if (!ComputeOptimalPotentials(view, &dense)) {
+    return false;
+  }
+  view.ScatterPotentials(dense, potential);
+  return true;
+}
+
 std::vector<uint32_t> FindNegativeCycle(const FlowNetworkView& view) {
   std::vector<int64_t> dist;
   std::vector<uint32_t> parent;
@@ -118,16 +127,6 @@ bool TryProveOptimal(const FlowNetworkView& view, std::vector<int64_t>* potentia
   return true;
 }
 
-bool ComputeOptimalPotentials(const FlowNetwork& net, std::vector<int64_t>* potential) {
-  FlowNetworkView view(net);
-  std::vector<int64_t> dense;
-  if (!ComputeOptimalPotentials(view, &dense)) {
-    return false;
-  }
-  view.ScatterPotentials(dense, potential);
-  return true;
-}
-
 std::vector<ArcRef> FindNegativeCycle(const FlowNetwork& net) {
   FlowNetworkView view(net);
   std::vector<uint32_t> dense_cycle = FindNegativeCycle(view);
@@ -140,12 +139,7 @@ std::vector<ArcRef> FindNegativeCycle(const FlowNetwork& net) {
 }
 
 bool PriceRefine(const FlowNetwork& net, std::vector<int64_t>* potential) {
-  std::vector<int64_t> refined;
-  if (!ComputeOptimalPotentials(net, &refined)) {
-    return false;
-  }
-  *potential = std::move(refined);
-  return true;
+  return PriceRefine(FlowNetworkView(net), potential);
 }
 
 bool TryProveOptimal(const FlowNetwork& net, std::vector<int64_t>* potential,

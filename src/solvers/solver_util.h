@@ -55,20 +55,24 @@ std::vector<uint32_t> FindNegativeCycle(const FlowNetworkView& view);
 bool TryProveOptimal(const FlowNetworkView& view, std::vector<int64_t>* potential,
                      uint32_t relax_bound);
 
-// --- FlowNetwork-facing wrappers -------------------------------------------
-
-// As above, but `potential` is keyed by original NodeId (sized to
-// net.NodeCapacity()).
-bool ComputeOptimalPotentials(const FlowNetwork& net, std::vector<int64_t>* potential);
-
-// Negative cycle as original-graph ArcRefs.
-std::vector<ArcRef> FindNegativeCycle(const FlowNetwork& net);
-
 // Price refine (§6.2): recomputes reduced node potentials for an optimal
 // flow so that complementary slackness holds with small potentials. This is
 // what makes relaxation -> incremental cost scaling handoffs cheap.
 // Returns false (leaving `potential` untouched) if the flow is not optimal.
-// `potential` is keyed by original NodeId.
+// The potentials are computed on the dense view and scattered to original
+// NodeId keys (`potential` sized to view.orig_node_capacity()). Shortest
+// distances do not depend on node numbering, and tombstoned slots carry no
+// residual capacity, so a patched view in sync with a network yields
+// exactly the potentials of a freshly built one.
+bool PriceRefine(const FlowNetworkView& view, std::vector<int64_t>* potential);
+
+// --- FlowNetwork-facing wrappers -------------------------------------------
+
+// Negative cycle as original-graph ArcRefs.
+std::vector<ArcRef> FindNegativeCycle(const FlowNetwork& net);
+
+// Price refine on a throwaway view of `net`; `potential` is keyed by
+// original NodeId.
 bool PriceRefine(const FlowNetwork& net, std::vector<int64_t>* potential);
 
 // Bounded prover over the mutable graph; `potential` keyed by original

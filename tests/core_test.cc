@@ -1,10 +1,19 @@
 // Tests for the scheduler core: cluster state, flow graph manager, the three
 // scheduling policies, placement extraction, and the end-to-end scheduler.
 
+#include <algorithm>
+#include <deque>
 #include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/core/cluster.h"
 #include "src/core/flow_graph_manager.h"
 #include "src/core/load_spreading_policy.h"
@@ -12,6 +21,9 @@
 #include "src/core/placement_extractor.h"
 #include "src/core/quincy_policy.h"
 #include "src/core/scheduler.h"
+#include "src/sim/block_store.h"
+#include "src/solvers/cost_scaling.h"
+#include "src/solvers/relaxation.h"
 #include "src/solvers/solution_checker.h"
 
 namespace firmament {
@@ -522,6 +534,234 @@ TEST(PlacementExtractorTest, UnscheduledTasksMapToInvalidMachine) {
   }
   EXPECT_EQ(unscheduled, 1);
 }
+
+// ---------------------------------------------------------------------------
+// Flat extraction vs. the Listing-1 reference
+// ---------------------------------------------------------------------------
+
+// Reference extractor: Listing 1 over per-node destination vectors, a deque
+// and a hash map of placements — the storage ExtractPlacements replaced
+// with one flat buffer. The flat extractor must resolve exactly the same
+// (task, machine) set.
+std::unordered_map<TaskId, MachineId> ReferenceExtract(const FlowGraphManager& manager) {
+  const FlowNetwork& net = manager.network();
+  const NodeId sink = manager.sink();
+  std::unordered_map<TaskId, MachineId> placements;
+
+  // destinations[v]: machine ids (kInvalidMachineId = unscheduled) that v's
+  // outgoing flow ultimately reaches; filled once v is resolved.
+  std::vector<std::vector<MachineId>> destinations(net.NodeCapacity());
+  // Remaining outgoing flow for which v has not yet received destinations.
+  std::vector<int64_t> pending(net.NodeCapacity(), 0);
+  std::deque<NodeId> resolved;
+
+  for (NodeId node : net.ValidNodes()) {
+    if (node == sink) {
+      continue;
+    }
+    int64_t outflow = 0;
+    for (ArcRef ref : net.Adjacency(node)) {
+      if (FlowNetwork::RefIsReverse(ref)) {
+        continue;
+      }
+      ArcId arc = FlowNetwork::RefArc(ref);
+      int64_t flow = net.Flow(arc);
+      if (flow <= 0) {
+        continue;
+      }
+      outflow += flow;
+      if (net.Dst(arc) == sink) {
+        // Flow into the sink resolves immediately: a machine delivers its own
+        // identity, an unscheduled aggregator delivers "unplaced".
+        MachineId self = net.Kind(node) == NodeKind::kMachine ? manager.MachineForNode(node)
+                                                              : kInvalidMachineId;
+        destinations[node].insert(destinations[node].end(), static_cast<size_t>(flow), self);
+      }
+    }
+    pending[node] = outflow - static_cast<int64_t>(destinations[node].size());
+    if (outflow > 0 && pending[node] == 0) {
+      resolved.push_back(node);
+    }
+  }
+
+  // Propagate destinations backwards along incoming flow (Listing 1).
+  while (!resolved.empty()) {
+    NodeId node = resolved.front();
+    resolved.pop_front();
+    TaskId task = manager.TaskForNode(node);
+    if (task != kInvalidTaskId) {
+      CHECK(!destinations[node].empty());
+      placements[task] = destinations[node].back();
+      continue;
+    }
+    std::vector<MachineId>& dests = destinations[node];
+    size_t cursor = 0;
+    for (ArcRef ref : net.Adjacency(node)) {
+      if (!FlowNetwork::RefIsReverse(ref)) {
+        continue;  // outgoing
+      }
+      ArcId arc = FlowNetwork::RefArc(ref);
+      int64_t flow = net.Flow(arc);
+      if (flow <= 0) {
+        continue;
+      }
+      NodeId src = net.Src(arc);
+      // Move `flow` destinations to the incoming arc's source (Listing 1
+      // lines 12-15). For an optimal flow the lists always suffice; for
+      // approximate, infeasible pseudoflows (§5.1) nodes with unrouted
+      // excess simply deliver fewer destinations, leaving their upstream
+      // tasks unplaced.
+      int64_t available = static_cast<int64_t>(dests.size()) - static_cast<int64_t>(cursor);
+      int64_t moved = std::min(flow, available);
+      for (int64_t i = 0; i < moved; ++i) {
+        destinations[src].push_back(dests[cursor++]);
+      }
+      pending[src] -= moved;
+      if (pending[src] == 0) {
+        resolved.push_back(src);
+      }
+    }
+  }
+  return placements;
+}
+
+using PlacementList = std::vector<std::pair<TaskId, MachineId>>;
+
+PlacementList Sorted(PlacementList placements) {
+  std::sort(placements.begin(), placements.end());
+  return placements;
+}
+
+// Compares both extractors on the manager's current flow and returns how
+// many tasks the flat extractor resolved.
+size_t ExpectExtractionMatchesReference(const FlowGraphManager& manager,
+                                        const std::string& context) {
+  const std::unordered_map<TaskId, MachineId> reference = ReferenceExtract(manager);
+  PlacementList flat = ExtractPlacements(manager).placements;
+  EXPECT_EQ(Sorted(flat), Sorted(PlacementList(reference.begin(), reference.end()))) << context;
+  // Resolution order is a function of the network alone.
+  EXPECT_EQ(ExtractPlacements(manager).placements, flat) << context;
+  return flat.size();
+}
+
+enum class ExtractPolicy { kQuincyLocality, kLoadSpreading };
+
+class ExtractionEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<ExtractPolicy, uint64_t>> {};
+
+// Randomized clusters under Quincy with block locality (task -> X -> rack
+// -> machine aggregator chains, preference arcs, per-job unscheduled
+// aggregators) and load spreading, over several rounds with running tasks.
+// Each round's graph is solved to optimality by cost scaling and by
+// relaxation, truncated by relaxation's time budget (kApproximate
+// pseudoflows), and perturbed into a pseudoflow with unrouted excess at a
+// machine; the flat extractor must match the reference on every flow.
+TEST_P(ExtractionEquivalenceTest, FlatExtractionMatchesListingOneReference) {
+  const auto [kind, seed] = GetParam();
+  Rng rng(seed);
+  ClusterState cluster;
+  BlockStore store(&cluster, seed + 1);
+  std::unique_ptr<SchedulingPolicy> policy;
+  if (kind == ExtractPolicy::kQuincyLocality) {
+    policy = std::make_unique<QuincyPolicy>(&cluster, &store);
+  } else {
+    policy = std::make_unique<LoadSpreadingPolicy>(&cluster);
+  }
+  FlowGraphManager manager(&cluster, policy.get());
+  int64_t slots = 0;
+  const int racks = static_cast<int>(rng.NextInt(2, 4));
+  for (int r = 0; r < racks; ++r) {
+    RackId rack = cluster.AddRack();
+    const int machines = static_cast<int>(rng.NextInt(2, 5));
+    for (int m = 0; m < machines; ++m) {
+      MachineSpec spec;
+      spec.slots = static_cast<int32_t>(rng.NextInt(1, 3));
+      slots += spec.slots;
+      manager.AddMachine(cluster.AddMachine(rack, spec));
+    }
+  }
+
+  SimTime now = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::string context = "seed " + std::to_string(seed) + " round " + std::to_string(round);
+    // About two thirds of the cluster per round: later rounds oversubscribe,
+    // so some tasks route through their unscheduled aggregator.
+    const int jobs = static_cast<int>(rng.NextInt(1, 3));
+    for (int j = 0; j < jobs; ++j) {
+      JobId job = cluster.SubmitJob(JobType::kBatch, 0, now);
+      const int tasks = static_cast<int>(rng.NextInt(1, 2 * slots / (3 * jobs) + 1));
+      for (int t = 0; t < tasks; ++t) {
+        TaskDescriptor desc;
+        desc.runtime = 100 * kSec;
+        if (kind == ExtractPolicy::kQuincyLocality) {
+          desc.input_size_bytes = rng.NextInt(1, 8) * store.block_size();
+          desc.input_blocks = store.AllocateInput(desc.input_size_bytes);
+        }
+        manager.AddTask(cluster.AddTaskToJob(job, desc), now);
+      }
+    }
+    manager.UpdateRound(now);
+    const FlowNetwork base = *manager.network();
+    const size_t live_tasks = manager.num_task_nodes();
+
+    CostScaling cost_scaling;
+    FlowNetwork cs_net = base;
+    ASSERT_EQ(cost_scaling.Solve(&cs_net).outcome, SolveOutcome::kOptimal) << context;
+    Relaxation relaxation;
+    FlowNetwork relax_net = base;
+    ASSERT_EQ(relaxation.Solve(&relax_net).outcome, SolveOutcome::kOptimal) << context;
+    for (const FlowNetwork* optimal : {&relax_net, &cs_net}) {
+      manager.network()->CopyFlowFrom(*optimal);
+      EXPECT_EQ(ExpectExtractionMatchesReference(manager, context + " optimal"), live_tasks)
+          << context;
+    }
+
+    // Budget-truncated relaxation: whatever pseudoflow the budget leaves.
+    for (uint64_t budget_us : {1, 5, 20, 100}) {
+      RelaxationOptions options;
+      options.time_budget_us = budget_us;
+      Relaxation truncated(options);
+      FlowNetwork net = base;
+      SolveStats stats = truncated.Solve(&net);
+      ASSERT_TRUE(stats.outcome == SolveOutcome::kOptimal ||
+                  stats.outcome == SolveOutcome::kApproximate)
+          << context;
+      manager.network()->CopyFlowFrom(net);
+      ExpectExtractionMatchesReference(manager,
+                                       context + " budget " + std::to_string(budget_us) + "us");
+    }
+
+    // Unrouted excess, deterministically: one unit of a machine's sink flow
+    // goes missing, so the machine resolves short and some task upstream
+    // of it never does.
+    FlowNetwork short_net = cs_net;
+    for (ArcId arc = 0; arc < short_net.ArcCapacityBound(); ++arc) {
+      if (short_net.IsValidArc(arc) && short_net.Dst(arc) == manager.sink() &&
+          short_net.Kind(short_net.Src(arc)) == NodeKind::kMachine && short_net.Flow(arc) > 0) {
+        short_net.SetFlow(arc, short_net.Flow(arc) - 1);
+        break;
+      }
+    }
+    manager.network()->CopyFlowFrom(short_net);
+    EXPECT_LT(ExpectExtractionMatchesReference(manager, context + " short"), live_tasks)
+        << context;
+
+    // Apply the optimal placements so the next round has running tasks.
+    manager.network()->CopyFlowFrom(cs_net);
+    for (const auto& [task, machine] : ExtractPlacements(manager).placements) {
+      if (machine != kInvalidMachineId && cluster.task(task).state == TaskState::kWaiting) {
+        cluster.PlaceTask(task, machine, now);
+      }
+    }
+    now += kSec;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndSeeds, ExtractionEquivalenceTest,
+    ::testing::Combine(::testing::Values(ExtractPolicy::kQuincyLocality,
+                                         ExtractPolicy::kLoadSpreading),
+                       ::testing::Range<uint64_t>(1, 6)));
 
 }  // namespace
 }  // namespace firmament

@@ -2,8 +2,9 @@
 // fuzzed equivalence between patched and freshly built views under random
 // GraphChange sequences (including id-recycling add/remove churn), the
 // rebuild-fallback threshold, the version/uid bookkeeping that guards
-// against stale patches, and a four-solver cost cross-check running on
-// patched views across churn rounds.
+// against stale patches, a four-solver cost cross-check running on
+// patched views across churn rounds, and price refine on a patched view
+// against refine on a freshly built one.
 
 #include <algorithm>
 #include <set>
@@ -19,6 +20,7 @@
 #include "src/solvers/racing_solver.h"
 #include "src/solvers/relaxation.h"
 #include "src/solvers/solution_checker.h"
+#include "src/solvers/solver_util.h"
 #include "src/solvers/successive_shortest_path.h"
 #include "tests/graph_generators.h"
 
@@ -490,6 +492,98 @@ TEST(FlowViewIncrementalTest, WarmStartFollowsCostDropsOnEmptyArcs) {
       }
     }
   }
+}
+
+// Removes `count` random machine nodes; their rack, preference and sink
+// arcs go with them (tombstones in every patched view).
+void RemoveMachines(FlowNetwork* net, Rng* rng, int count) {
+  std::vector<NodeId> machines;
+  for (NodeId node : net->ValidNodes()) {
+    if (net->Kind(node) == NodeKind::kMachine) {
+      machines.push_back(node);
+    }
+  }
+  for (int i = 0; i < count && machines.size() > 2; ++i) {
+    size_t idx = rng->NextUint64(machines.size());
+    net->RemoveNode(machines[idx]);
+    machines[idx] = machines.back();
+    machines.pop_back();
+  }
+}
+
+// The race hands a relaxation win to incremental cost scaling by price
+// refining on relaxation's persistent view — patched from the journal,
+// tombstones included — rather than on a fresh view of the network. Over
+// rounds of task and machine removals (and a churn burst that forces the
+// rebuild fallback), the two refines must agree exactly and certify the
+// written-back flow: every residual arc has non-negative reduced cost.
+TEST(FlowViewIncrementalTest, PriceRefineOnPatchedViewMatchesFreshView) {
+  SchedulingGraphSpec spec;
+  spec.seed = 77;
+  spec.num_tasks = 200;  // one task of churn is a <1% delta
+  spec.num_machines = 30;
+  FlowNetwork net = MakeSchedulingGraph(spec);
+  net.EnableChangeRecording(true);
+  Rng rng(13);
+
+  // The race's two legs: relaxation from scratch on its persistent view,
+  // and incremental cost scaling warm-started from the refined potentials.
+  Relaxation relaxation;
+  CostScalingOptions cs_options;
+  cs_options.incremental = true;
+  CostScaling cost_scaling(cs_options);
+  bool saw_patch_with_tombstones = false;
+  bool saw_rebuild = false;
+  for (int round = 0; round < 12; ++round) {
+    // Warm start from last round's flow and refined potentials, on a copy
+    // so the canonical journal keeps feeding relaxation's patch path.
+    int64_t warm_cost = 0;
+    if (round > 0) {
+      FlowNetwork copy = net;
+      SolveStats cs_stats = cost_scaling.Solve(&copy);
+      ASSERT_EQ(cs_stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+      warm_cost = cs_stats.total_cost;
+    }
+    SolveStats stats = relaxation.Solve(&net);
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+    if (round > 0) {
+      EXPECT_EQ(warm_cost, stats.total_cost) << "round " << round;
+    }
+    const FlowNetworkView& view = relaxation.view();
+    saw_patch_with_tombstones |= stats.view_prep == FlowNetworkView::PrepareResult::kPatched &&
+                                 view.num_nodes() > view.num_live_nodes();
+    saw_rebuild |= stats.view_prep == FlowNetworkView::PrepareResult::kRebuilt;
+
+    std::vector<int64_t> on_view;
+    std::vector<int64_t> on_fresh;
+    ASSERT_TRUE(PriceRefine(view, &on_view)) << "round " << round;
+    ASSERT_TRUE(PriceRefine(net, &on_fresh)) << "round " << round;
+    ASSERT_EQ(on_view, on_fresh) << "round " << round;
+    for (NodeId node : net.ValidNodes()) {
+      for (ArcRef ref : net.Adjacency(node)) {
+        if (net.RefResidual(ref) > 0) {
+          EXPECT_GE(ReducedCost(net, on_view, ref), 0) << "round " << round;
+        }
+      }
+    }
+
+    cost_scaling.ImportPotentials(std::move(on_view));
+    net.ClearChanges();
+
+    if (round == 6) {
+      // Burst well past the per-round churn threshold: the next Prepare
+      // must take the rebuild fallback.
+      SmallSchedulingChurn(&net, &rng, /*task_churn=*/20);
+      RemoveMachines(&net, &rng, 4);
+    } else {
+      SmallSchedulingChurn(&net, &rng);
+      if (round % 3 == 1) {
+        RemoveMachines(&net, &rng, 1);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_patch_with_tombstones);
+  EXPECT_TRUE(saw_rebuild);
 }
 
 // Mutating a network while recording is disabled must invalidate the patch
