@@ -216,95 +216,6 @@ void GraphUpdateBurst(benchmark::State& state) {
       persistent_s.Mean() > 0 ? per_round_s.Mean() / persistent_s.Mean() : 0.0;
 }
 
-// The sharded graph-update pipeline at Firmament's headline scale: 10,000
-// machines, bursts of tens-to-hundreds of thousands of task submissions per
-// round (Scaled: 40k small / 200k full — the full-scale series is the
-// paper's 12,500-machine regime). Two schedulers replay an identical
-// submission stream; one runs the serial delta path, the other the
-// compute/apply split at 8 shards. Every burst is fresh equivalence
-// classes with ~48-block inputs, so the round is dominated by the policy's
-// pure class pricing (CandidateMachines + per-candidate transfer costs) —
-// exactly the work the compute phase fans out. Wall times feed the
-// parallel_speedup gate in check.sh (armed only on multi-core runners);
-// the work counters (arcs generated / cache hits per shard, arcs applied)
-// are deterministic and comparable across boxes where ±25% timing noise is
-// not.
-void GraphUpdateParallel(benchmark::State& state) {
-  const int machines = 10'000;
-  const int shards = 8;
-  const int burst_tasks = bench::Scaled(40'000, 200'000);
-  // Small jobs -> many distinct classes per burst: the round's cost is the
-  // policy's pure class pricing, which is what the compute phase fans out
-  // (large identical jobs are the *cache's* win — fig11/graph_update_burst).
-  const int tasks_per_job = 4;
-  const int64_t input_bytes = 12'000'000'000;  // ~48 blocks; pricing-heavy
-  FirmamentSchedulerOptions serial_options;
-  serial_options.solver.mode = SolverMode::kCostScalingOnly;
-  FirmamentSchedulerOptions parallel_options = serial_options;
-  parallel_options.graph.update_shards = shards;
-  // Same seed -> identical machine layout and block placement streams, so
-  // both managers do identical work.
-  bench::BenchEnv serial_env(bench::PolicyKind::kQuincy, machines, 20, serial_options);
-  bench::BenchEnv parallel_env(bench::PolicyKind::kQuincy, machines, 20, parallel_options);
-  bench::BenchEnv* envs[2] = {&serial_env, &parallel_env};
-
-  // `now` stays fixed: the accumulated waiting tasks would otherwise cross
-  // an unscheduled-cost bucket every simulated second and the (serial in
-  // both paths) ramp pokes would dilute the comparison.
-  const SimTime now = kMicrosPerSecond;
-  auto submit_burst = [&](bench::BenchEnv* env) {
-    for (int j = 0; j < burst_tasks / tasks_per_job; ++j) {
-      std::vector<uint64_t> blocks = env->store()->AllocateInput(input_bytes);
-      std::vector<TaskDescriptor> tasks(static_cast<size_t>(tasks_per_job));
-      for (TaskDescriptor& task : tasks) {
-        task.runtime = 10'000 * kMicrosPerSecond;
-        task.input_size_bytes = input_bytes;
-        task.input_blocks = blocks;
-      }
-      env->scheduler().SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
-    }
-  };
-
-  Distribution serial_s;
-  Distribution parallel_s;
-  for (auto _ : state) {
-    double round_parallel_s = 0;
-    for (int i = 0; i < 2; ++i) {
-      submit_burst(envs[i]);
-      WallTimer timer;
-      envs[i]->manager().UpdateRound(now);
-      double seconds = static_cast<double>(timer.ElapsedMicros()) / 1e6;
-      if (i == 0) {
-        serial_s.Add(seconds);
-      } else {
-        parallel_s.Add(seconds);
-        round_parallel_s = seconds;
-      }
-      // No solver runs in this harness, so nothing ever consumes the
-      // journal; drop it (unmeasured) to keep memory flat across bursts.
-      envs[i]->network()->ClearChanges();
-    }
-    state.SetIterationTime(round_parallel_s);
-  }
-  state.counters["graph_update_serial_us"] = serial_s.Mean() * 1e6;
-  state.counters["graph_update_parallel_us"] = parallel_s.Mean() * 1e6;
-  state.counters["parallel_speedup"] =
-      parallel_s.Mean() > 0 ? serial_s.Mean() / parallel_s.Mean() : 0.0;
-  state.counters["parallel_shards"] = shards;
-  // Deterministic work counters from the last parallel round.
-  const UpdateRoundStats& stats = parallel_env.manager().last_update_stats();
-  state.counters["tasks_refreshed"] = static_cast<double>(stats.tasks_refreshed);
-  state.counters["task_arcs_applied"] = static_cast<double>(stats.task_arcs_applied);
-  state.counters["class_cache_misses"] = static_cast<double>(stats.class_cache_misses);
-  state.counters["class_cache_hits"] = static_cast<double>(stats.class_cache_hits);
-  for (size_t s = 0; s < stats.shards.size(); ++s) {
-    const UpdateShardStats& shard = stats.shards[s];
-    std::string suffix = "_s" + std::to_string(s);
-    state.counters["arcs_generated" + suffix] = static_cast<double>(shard.arcs_generated);
-    state.counters["cache_hits" + suffix] = static_cast<double>(shard.class_cache_hits);
-  }
-}
-
 // Quincy machine removal with the block -> task reverse index: only tasks
 // whose preference arcs touch the removed machine's blocks are dirtied.
 // The emitted dirty share (refreshed / live tasks) is gated in check.sh —
@@ -461,11 +372,6 @@ int main(int argc, char** argv) {
         ->UseManualTime()
         ->Unit(benchmark::kMillisecond);
   }
-  benchmark::RegisterBenchmark("fig11/graph_update_parallel/10000",
-                               firmament::GraphUpdateParallel)
-      ->Iterations(3)
-      ->UseManualTime()
-      ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("fig11/graph_update_burst/850/quincy",
                                firmament::GraphUpdateBurst)
       ->Iterations(firmament::bench::Scaled(8, 16))

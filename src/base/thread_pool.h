@@ -1,9 +1,9 @@
 // Persistent worker-thread pool for the control plane's parallel sections.
 //
 // Two consumers, two entry points:
-//  * FlowGraphManager's sharded graph-update pass uses ParallelFor(): the
-//    calling thread participates as a worker, so a pool of W threads drives
-//    W+1 shards and a pool of zero threads degenerates to a plain loop —
+//  * FederationCoordinator's per-cell rounds use ParallelFor(): the calling
+//    thread participates as a worker, so a pool of W threads drives W+1
+//    shards and a pool of zero threads degenerates to a plain loop —
 //    callers never special-case "no pool".
 //  * RacingSolver uses Submit(): one long-lived worker replaces the
 //    std::thread it used to spawn (and join) every scheduling round, taking

@@ -580,135 +580,20 @@ void FlowGraphManager::RebuildFromCluster(SimTime now) {
 }
 
 void FlowGraphManager::RefreshTask(TaskId task_id, SimTime now) {
-  // The serial path is the sharded path with one inline-computed plan and
-  // an empty shard memo: ApplyTaskPlan's miss branch then calls
-  // EquivClassArcs directly, exactly as the pre-split code did. One state
-  // machine (cache adoption, refcounts, DiffArcs, ramp) serves both paths,
-  // so they cannot drift apart.
   auto it = task_info_.find(task_id);
   if (it == task_info_.end()) {
     return;  // removed after being marked dirty
   }
-  const TaskDescriptor& task = cluster_->task(task_id);
-  serial_plan_.task = task_id;
-  serial_plan_.specific.clear();
-  policy_->TaskSpecificArcs(task, now, &serial_plan_.specific);
-  serial_plan_.ec = policy_->TaskEquivClass(task);
-  serial_plan_.ramp = policy_->UnscheduledCostRamp(task);
-  ApplyTaskPlan(&serial_shard_, &serial_plan_, now);
-}
-
-void FlowGraphManager::RefreshAggregator(AggregatorInfo* info) {
-  scratch_specs_.clear();
-  policy_->AggregatorArcs(info->node, &scratch_specs_);
-  DiffArcs(info->node, scratch_specs_, &info->arcs);
-}
-
-ThreadPool* FlowGraphManager::EnsurePool() {
-  if (pool_ == nullptr) {
-    size_t threads = options_.update_shards > 1
-                         ? static_cast<size_t>(options_.update_shards) - 1
-                         : 0;
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
-void FlowGraphManager::ParallelCompute(size_t items, const std::function<void(size_t)>& fn) {
-  if (items == 0) {
-    return;
-  }
-  size_t shard_count =
-      std::min<size_t>(std::max(options_.update_shards, 1), items);
-  const size_t per = (items + shard_count - 1) / shard_count;
-  EnsurePool()->ParallelFor(shard_count, [&](size_t s) {
-    const size_t end = std::min(items, (s + 1) * per);
-    for (size_t i = s * per; i < end; ++i) {
-      fn(i);
-    }
-  });
-}
-
-void FlowGraphManager::RefreshTasksSharded(const std::vector<TaskId>& tasks, SimTime now) {
-  const size_t shard_count = std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(options_.update_shards), tasks.size()));
-  std::vector<UpdateShard> shards(shard_count);
-  const size_t per = (tasks.size() + shard_count - 1) / shard_count;
-
-  // Compute phase: policy's pure hooks only — no graph, journal, cache, or
-  // policy-state mutation. The shared ec_cache_ is read concurrently (the
-  // apply phase below is its only writer, strictly after the join); classes
-  // it misses are evaluated once per shard into the shard's memo.
-  EnsurePool()->ParallelFor(shard_count, [&](size_t s) {
-    UpdateShard& shard = shards[s];
-    const size_t begin = s * per;
-    const size_t end = std::min(tasks.size(), (s + 1) * per);
-    shard.tasks.reserve(end > begin ? end - begin : 0);
-    for (size_t i = begin; i < end; ++i) {
-      const TaskId task_id = tasks[i];
-      const TaskDescriptor& task = cluster_->task(task_id);
-      TaskRefreshPlan plan;
-      plan.task = task_id;
-      policy_->TaskSpecificArcs(task, now, &plan.specific);
-      plan.ec = policy_->TaskEquivClass(task);
-      shard.stats.arcs_generated += plan.specific.size();
-      size_t class_arcs = 0;
-      auto cached = ec_cache_.find(plan.ec);
-      if (cached != ec_cache_.end()) {
-        ++shard.stats.class_cache_hits;
-        class_arcs = cached->second.size();
-      } else {
-        auto [memo_it, inserted] = shard.memo.try_emplace(plan.ec);
-        if (inserted) {
-          policy_->EquivClassArcs(task, now, &memo_it->second);
-          ++shard.stats.class_evals;
-          shard.stats.arcs_generated += memo_it->second.size();
-        }
-        class_arcs = memo_it->second.size();
-      }
-      shard.planned_apply_specs += plan.specific.size() + class_arcs;
-      plan.ramp = policy_->UnscheduledCostRamp(task);
-      ++shard.stats.tasks;
-      shard.tasks.push_back(std::move(plan));
-    }
-  });
-
-  // Apply phase: serial, in global task order (the partition is contiguous
-  // over the sorted list, so walking shards in index order IS the serial
-  // order) — the graph mutations and journal entries come out identical to
-  // the serial path's. Batch-reserve the journal for the planned spec burst
-  // so a multi-hundred-thousand-arc apply does not regrow it repeatedly.
-  size_t planned_arcs = 0;
-  for (const UpdateShard& shard : shards) {
-    planned_arcs += shard.planned_apply_specs;
-  }
-  network_.ReserveChanges(planned_arcs);
-  for (UpdateShard& shard : shards) {
-    for (TaskRefreshPlan& plan : shard.tasks) {
-      ApplyTaskPlan(&shard, &plan, now);
-    }
-  }
-  update_stats_.shards.clear();
-  update_stats_.shards.reserve(shards.size());
-  for (const UpdateShard& shard : shards) {
-    update_stats_.shards.push_back(shard.stats);
-  }
-}
-
-void FlowGraphManager::ApplyTaskPlan(UpdateShard* shard, TaskRefreshPlan* plan, SimTime now) {
-  auto it = task_info_.find(plan->task);
-  if (it == task_info_.end()) {
-    return;  // removed after being marked dirty
-  }
   TaskInfo& info = it->second;
-  const TaskDescriptor& task = cluster_->task(plan->task);
+  const TaskDescriptor& task = cluster_->task(task_id);
   ++update_stats_.tasks_refreshed;
   // Task-specific arcs first: on a (dst, rank) collision the specific arc
   // (e.g. a running task's continuation arc to a machine that is also a
   // preference destination) must win over the shared class arc.
   scratch_specs_.clear();
-  scratch_specs_.insert(scratch_specs_.end(), plan->specific.begin(), plan->specific.end());
-  EquivClass ec = plan->ec;
+  policy_->TaskSpecificArcs(task, now, &scratch_specs_);
+  const EquivClass ec = policy_->TaskEquivClass(task);
+  info.ramp = policy_->UnscheduledCostRamp(task);
   if (!info.ec_known) {
     info.ec = ec;
     info.ec_known = true;
@@ -720,19 +605,7 @@ void FlowGraphManager::ApplyTaskPlan(UpdateShard* shard, TaskRefreshPlan* plan, 
   }
   auto [cache_it, inserted] = ec_cache_.try_emplace(ec);
   if (inserted) {
-    auto memo_it = shard->memo.find(ec);
-    if (memo_it != shard->memo.end()) {
-      // First applying task of the class adopts its shard's computed specs
-      // (other shards' redundant copies simply go unused).
-      cache_it->second = std::move(memo_it->second);
-      shard->memo.erase(memo_it);
-    } else {
-      // The entry this plan relied on is gone: either the compute phase saw
-      // it cached and a class-switching task just evicted it (last-ref
-      // release), or the same shard's copy was consumed and then evicted.
-      // Recompute inline — exactly what the serial path would do here.
-      policy_->EquivClassArcs(task, now, &cache_it->second);
-    }
+    policy_->EquivClassArcs(task, now, &cache_it->second);
     IndexClassArcs(ec, cache_it->second);
     ++update_stats_.class_cache_misses;
   } else {
@@ -742,9 +615,14 @@ void FlowGraphManager::ApplyTaskPlan(UpdateShard* shard, TaskRefreshPlan* plan, 
   update_stats_.task_arcs_applied += scratch_specs_.size();
   DiffArcs(info.node, scratch_specs_, &info.arcs);
 
-  info.ramp = plan->ramp;
   network_.SetArcCost(info.unscheduled_arc, RampCost(info.ramp, task, now));
-  ScheduleRampCrossing(plan->task, &info, task, now);
+  ScheduleRampCrossing(task_id, &info, task, now);
+}
+
+void FlowGraphManager::RefreshAggregator(AggregatorInfo* info) {
+  scratch_specs_.clear();
+  policy_->AggregatorArcs(info->node, &scratch_specs_);
+  DiffArcs(info->node, scratch_specs_, &info->arcs);
 }
 
 void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
@@ -821,7 +699,6 @@ void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
       }
     }
   }
-  update_stats_.shards.clear();
   std::vector<TaskId> refresh_list;
   if (full || marks_.all_tasks) {
     // Rare wide invalidation (first round, forced refresh, machine removal):
@@ -844,12 +721,8 @@ void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
     }
     refresh_list.assign(dirty_tasks.begin(), dirty_tasks.end());
   }
-  if (options_.update_shards > 0 && !refresh_list.empty()) {
-    RefreshTasksSharded(refresh_list, now);
-  } else {
-    for (TaskId task_id : refresh_list) {
-      RefreshTask(task_id, now);
-    }
+  for (TaskId task_id : refresh_list) {
+    RefreshTask(task_id, now);
   }
 
   // Advance the unscheduled-cost ramps: only tasks whose wait crossed a
@@ -857,10 +730,7 @@ void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
   AdvanceRamps(now);
 
   // Aggregator arcs: full recomputes for marked aggregators, per-machine
-  // slices for marked (aggregator, machine) pairs. Under the sharded
-  // pipeline the policy compute runs in parallel into per-item buffers and
-  // the DiffArcs apply stays serial in the same order as the serial path.
-  const bool sharded = options_.update_shards > 0;
+  // slices for marked (aggregator, machine) pairs.
   if (full || marks_.all_aggregators) {
     std::vector<std::string> keys;
     keys.reserve(aggregators_.size());
@@ -868,66 +738,26 @@ void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
       keys.push_back(key);
     }
     std::sort(keys.begin(), keys.end());
-    if (sharded) {
-      std::vector<std::vector<ArcSpec>> specs(keys.size());
-      ParallelCompute(keys.size(), [&](size_t i) {
-        policy_->AggregatorArcs(aggregators_.find(keys[i])->second.node, &specs[i]);
-      });
-      for (size_t i = 0; i < keys.size(); ++i) {
-        AggregatorInfo& info = aggregators_[keys[i]];
-        DiffArcs(info.node, specs[i], &info.arcs);
-      }
-    } else {
-      for (const std::string& key : keys) {
-        RefreshAggregator(&aggregators_[key]);
-      }
+    for (const std::string& key : keys) {
+      RefreshAggregator(&aggregators_[key]);
     }
   } else {
-    std::vector<NodeId> dirty_aggs;
     for (NodeId agg : marks_.aggregators) {
       if (node_to_aggregator_.count(agg) != 0) {  // else drained since marked
-        dirty_aggs.push_back(agg);
+        RefreshAggregator(&aggregators_[node_to_aggregator_.at(agg)]);
       }
     }
-    std::vector<std::pair<NodeId, MachineId>> dirty_slices;
     for (const auto& [agg, machine] : marks_.aggregator_machines) {
       if (marks_.aggregators.count(agg) != 0) {
-        continue;  // the full recompute below already covers this slice
+        continue;  // the full recompute above already covers this slice
       }
       if (node_to_aggregator_.count(agg) == 0 || machine_to_node_.count(machine) == 0) {
         continue;  // aggregator drained or machine removed since marking
       }
-      dirty_slices.push_back({agg, machine});
-    }
-    if (sharded) {
-      std::vector<std::vector<ArcSpec>> agg_specs(dirty_aggs.size());
-      ParallelCompute(dirty_aggs.size(), [&](size_t i) {
-        policy_->AggregatorArcs(dirty_aggs[i], &agg_specs[i]);
-      });
-      for (size_t i = 0; i < dirty_aggs.size(); ++i) {
-        AggregatorInfo& info = aggregators_[node_to_aggregator_.at(dirty_aggs[i])];
-        DiffArcs(info.node, agg_specs[i], &info.arcs);
-      }
-      std::vector<std::vector<ArcSpec>> slice_specs(dirty_slices.size());
-      ParallelCompute(dirty_slices.size(), [&](size_t i) {
-        policy_->AggregatorMachineArcs(dirty_slices[i].first, dirty_slices[i].second,
-                                       &slice_specs[i]);
-      });
-      for (size_t i = 0; i < dirty_slices.size(); ++i) {
-        const auto& [agg, machine] = dirty_slices[i];
-        DiffArcsTo(agg, machine_to_node_.at(machine), slice_specs[i],
-                   &aggregators_[node_to_aggregator_.at(agg)].arcs);
-      }
-    } else {
-      for (NodeId agg : dirty_aggs) {
-        RefreshAggregator(&aggregators_[node_to_aggregator_.at(agg)]);
-      }
-      for (const auto& [agg, machine] : dirty_slices) {
-        scratch_specs_.clear();
-        policy_->AggregatorMachineArcs(agg, machine, &scratch_specs_);
-        DiffArcsTo(agg, machine_to_node_.at(machine), scratch_specs_,
-                   &aggregators_[node_to_aggregator_.at(agg)].arcs);
-      }
+      scratch_specs_.clear();
+      policy_->AggregatorMachineArcs(agg, machine, &scratch_specs_);
+      DiffArcsTo(agg, machine_to_node_.at(machine), scratch_specs_,
+                 &aggregators_[node_to_aggregator_.at(agg)].arcs);
     }
   }
 

@@ -31,7 +31,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <queue>
 #include <set>
 #include <string>
@@ -41,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/thread_pool.h"
 #include "src/core/cluster.h"
 #include "src/core/scheduling_policy.h"
 #include "src/core/types.h"
@@ -59,20 +57,6 @@ struct FlowGraphManagerOptions {
   // per-round cache (cleared at the top of every UpdateRound) — kept for
   // the fig11 bursty-submit ablation and as a bisection aid.
   bool persistent_class_cache = true;
-  // Shard count for UpdateRound's compute/apply split. 0 (the default) is
-  // the serial path: each dirty entity's policy hooks run inline with the
-  // graph mutation. With N >= 1 the round's dirty tasks, aggregators, and
-  // (aggregator, machine) slices are partitioned into N contiguous shards
-  // whose *pure* policy compute hooks (TaskEquivClass / EquivClassArcs /
-  // TaskSpecificArcs / UnscheduledCostRamp / AggregatorArcs /
-  // AggregatorMachineArcs — see the threading contract in
-  // scheduling_policy.h) run concurrently on N-1 pool workers plus the
-  // calling thread, into per-shard arc-spec buffers with per-shard class
-  // memoization; a deterministic ordered apply then installs the specs into
-  // the FlowNetwork + journal exactly as the serial path would — arc for
-  // arc, journal entry for journal entry. N = 1 exercises the split with no
-  // concurrency (testing aid).
-  int update_shards = 0;
 };
 
 // How UpdateRound refreshes the graph. kDelta (the default) consumes the
@@ -82,20 +66,6 @@ struct FlowGraphManagerOptions {
 // path is gated against.
 enum class RefreshMode : uint8_t { kDelta, kFull };
 
-// Per-shard work counters for the parallel compute phase. Deterministic for
-// a given dirty set and shard count (the partition is contiguous over the
-// ordered dirty list), which is what makes them usable as a bench metric on
-// noisy boxes where wall time is not. `class_evals` counts compute-phase
-// EquivClassArcs calls — shards memoize independently, so the sum can
-// exceed the round's `class_cache_misses` (tasks of one class split across
-// shards each evaluate it once; the ordered apply keeps exactly one).
-struct UpdateShardStats {
-  size_t tasks = 0;            // dirty tasks computed by this shard
-  size_t class_evals = 0;      // EquivClassArcs calls in the compute phase
-  size_t class_cache_hits = 0; // shared-cache hits seen at compute time
-  size_t arcs_generated = 0;   // ArcSpecs produced (task-specific + class)
-};
-
 // Counters for the last UpdateRound call; consumed by tests (the Quincy
 // machine-removal dirty-count assertion) and the fig11 bursty-submit bench.
 struct UpdateRoundStats {
@@ -104,9 +74,6 @@ struct UpdateRoundStats {
   size_t class_cache_misses = 0;    // EquivClassArcs policy calls
   size_t classes_invalidated = 0;   // entries dropped (marks + node removals)
   size_t task_arcs_applied = 0;     // ArcSpecs handed to DiffArcs for tasks
-  // Sharded path only (empty on the serial path): one entry per shard of
-  // the round's task compute phase.
-  std::vector<UpdateShardStats> shards;
 };
 
 class FlowGraphManager {
@@ -204,9 +171,9 @@ class FlowGraphManager {
   // "ra:400"), creating it on first use.
   NodeId GetOrCreateAggregator(const std::string& key);
   // Pure lookup variant (kInvalidNodeId if absent). This is the only
-  // aggregator accessor the pure compute hooks (EquivClassArcs,
-  // AggregatorArcs, ...) may call: they run concurrently under the sharded
-  // update pipeline, where creating nodes mid-compute would race the graph.
+  // aggregator accessor the arc compute hooks (EquivClassArcs,
+  // AggregatorArcs, ...) may call: node lifetimes belong to the policy's
+  // lifecycle hooks (scheduling_policy.h).
   NodeId FindAggregator(const std::string& key) const;
   // Removes an aggregator and its arcs (e.g. rack drained of machines).
   void RemoveAggregator(const std::string& key);
@@ -281,46 +248,11 @@ class FlowGraphManager {
   // left untouched (machine-granular aggregator updates).
   void DiffArcsTo(NodeId src, NodeId dst, const std::vector<ArcSpec>& desired, ArcMap* current);
   // Recomputes one task's arcs (class cache + task-specific) and its
-  // unscheduled-cost ramp at `now`.
+  // unscheduled-cost ramp at `now`, applying them to the graph in place.
   void RefreshTask(TaskId task_id, SimTime now);
   // Recomputes one aggregator's full arc set.
   void RefreshAggregator(AggregatorInfo* info);
 
-  // --- Sharded compute/apply split (options_.update_shards > 0) ------------
-  // Everything the compute phase gathers for one dirty task; the apply
-  // phase turns it into graph mutations without further policy calls (the
-  // one exception — an entry evicted between compute and apply — recomputes
-  // inline, exactly as the serial path would at that point).
-  struct TaskRefreshPlan {
-    TaskId task = kInvalidTaskId;
-    EquivClass ec = 0;
-    std::vector<ArcSpec> specific;  // TaskSpecificArcs output
-    UnscheduledRamp ramp;
-  };
-  struct UpdateShard {
-    std::vector<TaskRefreshPlan> tasks;
-    // Classes this shard evaluated because the shared cache had no entry at
-    // compute time. Entries are moved into the shared cache by the first
-    // applying task of the class (in global order) and erased after the
-    // move so a moved-from vector is never mistaken for a computed result.
-    std::unordered_map<EquivClass, std::vector<ArcSpec>> memo;
-    // Specs the apply phase will hand to DiffArcs for this shard's tasks —
-    // per task (specific + class-arc count), unlike stats.arcs_generated,
-    // which counts each class evaluation once. Sized for the journal
-    // reserve.
-    size_t planned_apply_specs = 0;
-    UpdateShardStats stats;
-  };
-  // Parallel compute + ordered apply over the round's dirty tasks
-  // (`tasks` sorted ascending). Produces the same graph mutations, journal
-  // entries, and cache hit/miss counters as the serial RefreshTask loop.
-  void RefreshTasksSharded(const std::vector<TaskId>& tasks, SimTime now);
-  void ApplyTaskPlan(UpdateShard* shard, TaskRefreshPlan* plan, SimTime now);
-  // Runs fn(i) for i in [0, items) across the manager's shard pool with a
-  // contiguous partition (shard s gets the s-th slice). Used to parallelize
-  // the aggregator compute phases.
-  void ParallelCompute(size_t items, const std::function<void(size_t)>& fn);
-  ThreadPool* EnsurePool();
   // Unscheduled cost of `task` under `info`'s ramp at `now`.
   static int64_t RampCost(const UnscheduledRamp& ramp, const TaskDescriptor& task, SimTime now);
   // (Re-)registers the task's next bucket-crossing event; bumps ramp_gen so
@@ -409,15 +341,6 @@ class FlowGraphManager {
   std::priority_queue<RampEntry, std::vector<RampEntry>, std::greater<RampEntry>> ramp_heap_;
 
   std::vector<ArcSpec> scratch_specs_;
-  // Reused plan + (always-empty-memo) shard for the serial RefreshTask
-  // wrapper, keeping the default path's hot loop allocation-free.
-  TaskRefreshPlan serial_plan_;
-  UpdateShard serial_shard_;
-
-  // Workers for the sharded update pipeline (update_shards - 1 threads; the
-  // calling thread is the remaining shard). Created lazily on the first
-  // sharded round so serial managers never spawn threads.
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace firmament

@@ -103,9 +103,9 @@ void NetworkAwarePolicy::EquivClassArcs(const TaskDescriptor& representative, Si
   (void)now;
   int64_t bucket = BucketFor(representative.bandwidth_request_mbps);
   // The representative is live, so its RA exists (OnTaskAdded created it
-  // and registered it in aggregator_bucket_). Pure lookup only: this hook
-  // runs concurrently under the sharded update pipeline, so it must not
-  // create aggregators or touch the bucket map.
+  // and registered it in aggregator_bucket_). Pure lookup only: class arcs
+  // are cached across rounds, so this hook must not create aggregators or
+  // touch the bucket map.
   NodeId ra = manager_->FindAggregator(RequestKey(bucket));
   DCHECK_NE(ra, kInvalidNodeId);
   out->push_back({ra, 1, 0, 0});

@@ -330,8 +330,8 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
     rack_costs.resize(static_cast<size_t>(params_.max_rack_preference_arcs));
   }
   for (const auto& [cost, rack] : rack_costs) {
-    // Pure lookup (threading contract: this hook runs concurrently under
-    // the sharded update pipeline and must not create graph nodes).
+    // Pure lookup: class arcs are cached across rounds, so this hook must
+    // not create graph nodes (scheduling_policy.h).
     NodeId rack_node = manager_->FindAggregator(RackKey(rack));
     if (rack_node != kInvalidNodeId) {
       out->push_back({rack_node, 1, cost, 0});
@@ -340,8 +340,8 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
 }
 
 void QuincyPolicy::AggregatorArcs(NodeId aggregator, std::vector<ArcSpec>* out) {
-  // Runs concurrently under the sharded update pipeline: aggregator lookups
-  // must stay pure (FindAggregator), never creating. A non-empty rack always
+  // Aggregator lookups stay pure (FindAggregator), never creating: node
+  // lifetimes belong to the lifecycle hooks. A non-empty rack always
   // has its aggregator — OnMachineAdded creates it before any arc refresh
   // and OnMachineRemoved drains it only with the last machine.
   if (aggregator == cluster_agg_) {

@@ -37,23 +37,10 @@
 //    drops block replicas that feed surviving machines' transfer costs).
 //    Consequently EquivClassArcs must be a pure function of the class's
 //    declared inputs and live topology — in particular it must NOT depend on
-//    `now` or on any statistic the policy does not invalidate on.
-//
-// Threading contract (sharded update pipeline). When the manager runs with
-// FlowGraphManagerOptions::update_shards > 0, the *compute* hooks —
-// TaskEquivClass, EquivClassArcs, TaskSpecificArcs, UnscheduledCostRamp,
-// AggregatorArcs, AggregatorMachineArcs — are called concurrently from
-// multiple worker threads within one UpdateRound. They must therefore be
-// pure readers: they may read the ClusterState, the locality source, the
-// policy's own fields, and the manager's const lookups (NodeForMachine,
-// FindAggregator, HasAggregator), but must not mutate policy state, create
-// aggregators (use FindAggregator, never GetOrCreateAggregator), or touch
-// the flow network. All mutating hooks — Initialize, the On* lifecycle
-// hooks, BeginRound, and CollectDirty — remain strictly serial and are
-// ordered before any concurrent compute; policies keep their bookkeeping
-// there. PolicyDirtySink marks are collected serially in CollectDirty and
-// merged into ordered per-round dirty sets before sharding, so sink calls
-// never race either.
+//    `now` or on any statistic the policy does not invalidate on. Nor may
+//    it create aggregators (look them up with FindAggregator): a cached
+//    entry outlives the call that computed it, so node lifetimes belong to
+//    the lifecycle hooks.
 
 #ifndef SRC_CORE_SCHEDULING_POLICY_H_
 #define SRC_CORE_SCHEDULING_POLICY_H_

@@ -177,14 +177,6 @@ class FlowNetwork {
     journal_base_version_ = version_;
   }
   bool change_recording_enabled() const { return record_changes_; }
-  // Pre-grows the journal for a planned mutation burst (the sharded
-  // graph-update apply phase batches its append this way); a no-op when
-  // recording is off.
-  void ReserveChanges(size_t extra) {
-    if (record_changes_) {
-      changes_.reserve(changes_.size() + extra);
-    }
-  }
   const std::vector<GraphChange>& Changes() const { return changes_; }
   void ClearChanges() {
     changes_.clear();

@@ -125,18 +125,8 @@ SolveStats Relaxation::SolveView(const FlowNetwork& network, const std::atomic<b
   FlowNetworkView& view = view_;
   const uint32_t n = view.num_nodes();
 
-  if (options_.incremental && stats.view_prep == FlowNetworkView::PrepareResult::kPatched) {
-    // Warm start from the network's current flow (the previous round's
-    // winner), which the patch path does not track arc-by-arc (a rebuild
-    // just snapshotted it); potentials are gathered below.
-    view.SyncFlowFrom(network);
-  }
   stats.view_prep_us = timer.ElapsedMicros();
-  if (options_.incremental) {
-    view.GatherPotentials(potential_, &pi_);
-  } else {
-    pi_.assign(n, 0);
-  }
+  pi_.assign(n, 0);
 
   // Retained potentials are keyed by original NodeId so they survive the
   // dense renumbering; translate back on every exit.
@@ -146,30 +136,19 @@ SolveStats Relaxation::SolveView(const FlowNetwork& network, const std::atomic<b
     out->runtime_us = timer.ElapsedMicros();
   };
 
-  // One fused arc pass: restore complementary slackness w.r.t. the starting
-  // potentials — clamp the flow on every arc whose reduced cost sign
-  // disagrees with it; from scratch (pi = 0) that saturates negative-cost
-  // arcs and empties the rest, so no up-front ClearFlow is needed — and
-  // accumulate node excesses while at it, folding what used to be three
-  // O(m) passes (ClearFlow, clamp, ComputeExcess) into one.
+  // One fused arc pass: establish complementary slackness w.r.t. the zero
+  // starting potentials — saturate negative-cost arcs and empty the rest,
+  // so no up-front ClearFlow is needed — and accumulate node excesses while
+  // at it, folding what used to be three O(m) passes (ClearFlow, clamp,
+  // ComputeExcess) into one.
   excess_.assign(n, 0);
   for (uint32_t v = 0; v < n; ++v) {
     excess_[v] = view.Supply(v);
   }
-  const bool warm_flow = options_.incremental;
   for (uint32_t a = 0; a < view.num_arcs(); ++a) {
     uint32_t src = view.Src(a);
     uint32_t dst = view.Dst(a);
-    int64_t capacity = view.Capacity(a);
-    // Warm starts keep the carried flow (clamped if capacity shrank);
-    // from-scratch solves start empty.
-    int64_t flow = warm_flow ? std::min(view.Flow(a), capacity) : 0;
-    int64_t c_pi = view.Cost(a) - pi_[src] + pi_[dst];
-    if (c_pi < 0) {
-      flow = capacity;
-    } else if (c_pi > 0) {
-      flow = 0;
-    }
+    int64_t flow = view.Cost(a) < 0 ? view.Capacity(a) : 0;
     view.SetFlow(a, flow);
     excess_[src] -= flow;
     excess_[dst] += flow;

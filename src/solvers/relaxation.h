@@ -15,10 +15,13 @@
 // ~45% on contended graphs (Fig. 12a).
 //
 // Each Solve() runs on a FlowNetworkView (dense CSR snapshot) and installs
-// the resulting flow back into the FlowNetwork. Retained potentials are
-// keyed by original NodeId so incremental warm starts survive renumbering.
-// Setup folds complementary-slackness clamping and excess accumulation
-// into a single O(m) pass (previously ClearFlow + clamp + ComputeExcess).
+// the resulting flow back into the FlowNetwork. Every solve starts from
+// zero flow and zero potentials: the paper found relaxation's warm start
+// often regresses (§5.2), so only the view itself persists across rounds.
+// The final potentials are kept, keyed by original NodeId, for price refine
+// and the cost-scaling handoff. Setup folds complementary-slackness
+// clamping and excess accumulation into a single O(m) pass (previously
+// ClearFlow + clamp + ComputeExcess).
 //
 // NOTE on the packed residual star: porting these scan loops onto the 32B
 // ResidualEntry star (the layout cost scaling's refine loops run on) was
@@ -49,9 +52,6 @@ namespace firmament {
 struct RelaxationOptions {
   // §5.3.1 arc prioritization (Fig. 12a ablates this).
   bool arc_prioritization = true;
-  // Warm-start from the network's current flow and retained potentials
-  // (§5.2; the paper found this often regresses — exposed for the ablation).
-  bool incremental = false;
   // If non-zero, stop after the budget with the current (typically
   // infeasible) pseudoflow; unrouted supplies correspond to unplaced tasks
   // (§5.1 approximate-solution experiment).
@@ -64,9 +64,7 @@ class Relaxation : public McmfSolver {
 
   SolveStats SolveView(const FlowNetwork& network,
                        const std::atomic<bool>* cancel = nullptr) override;
-  std::string name() const override {
-    return options_.incremental ? "incremental_relaxation" : "relaxation";
-  }
+  std::string name() const override { return "relaxation"; }
 
   RelaxationOptions& options() { return options_; }
 

@@ -177,8 +177,9 @@ bool TraceTableReader::Next(TraceEvent* event) {
       ++stats_.malformed_lines;
       continue;
     }
-    const int32_t max_code =
-        table_ == TraceTable::kMachineEvents ? kMachineUpdate : kTaskUpdateRunning;
+    const int32_t max_code = table_ == TraceTable::kMachineEvents
+                                 ? static_cast<int32_t>(kMachineUpdate)
+                                 : static_cast<int32_t>(kTaskUpdateRunning);
     if (event->code < 0 || event->code > max_code) {
       ++stats_.unknown_event_codes;
       continue;

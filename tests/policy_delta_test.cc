@@ -150,52 +150,21 @@ void ExpectDeltaMatchesFullRefresh(Policy kind, ClusterState& cluster, const Blo
   FAIL() << message;
 }
 
-// Serialized form of one GraphChange, used to diff whole journals between
-// the serial and sharded update paths (the PR 2 journal contract: solvers
-// patch their views from this log, so the sharded path must reproduce it
-// entry for entry, in order).
-std::string ChangeLabel(const GraphChange& change) {
-  return "k=" + std::to_string(static_cast<int>(change.kind)) +
-         " id=" + std::to_string(change.id) + " old=" + std::to_string(change.old_value) +
-         " new=" + std::to_string(change.new_value);
-}
-
-// Everything one scenario round must reproduce identically under any shard
-// count: the canonical post-update graph, the exact journal (order
-// included), and the update pass's deterministic counters.
-struct RoundTrace {
-  std::vector<std::string> graph;
-  std::vector<std::string> journal;
-  size_t tasks_refreshed = 0;
-  size_t class_cache_hits = 0;
-  size_t class_cache_misses = 0;
-  size_t task_arcs_applied = 0;
-};
-
-// Shared fuzz driver: random workload + machine churn; with
-// `check_vs_full`, the delta graph is checked against a full rebuild every
-// round; with `trace`, every round's graph/journal/counters are captured
-// for cross-shard-count comparison (the solver then runs in deterministic
-// kCostScalingOnly mode so replays with different shard counts see an
-// identical event stream). A pool of shared input profiles makes a fraction
-// of submissions *identical bursts* — same blocks, same size, same
-// bandwidth bucket across jobs and rounds — the shape the cross-round
-// equivalence-class cache serves without recomputation and therefore the
-// one where a stale entry would diverge from the full-refresh reference.
-void DriveScenario(Policy kind, uint64_t seed, int rounds, int update_shards,
-                   bool check_vs_full, std::vector<RoundTrace>* trace) {
+// Delta-vs-full fuzz driver: random workload + machine churn, with the
+// delta graph checked against a full rebuild every round. A pool of shared
+// input profiles makes a fraction of submissions *identical bursts* — same
+// blocks, same size, same bandwidth bucket across jobs and rounds — the
+// shape the cross-round equivalence-class cache serves without
+// recomputation and therefore the one where a stale entry would diverge
+// from the full-refresh reference.
+void FuzzDeltaEquivalence(Policy kind, uint64_t seed, int rounds) {
   ClusterState cluster;
   std::unique_ptr<BlockStore> store;
   if (kind == Policy::kQuincyWithLocality) {
     store = std::make_unique<BlockStore>(&cluster, seed + 1);
   }
   std::unique_ptr<SchedulingPolicy> policy = MakePolicy(kind, &cluster, store.get());
-  FirmamentSchedulerOptions options;
-  options.graph.update_shards = update_shards;
-  if (trace != nullptr) {
-    options.solver.mode = SolverMode::kCostScalingOnly;
-  }
-  FirmamentScheduler scheduler(&cluster, policy.get(), options);
+  FirmamentScheduler scheduler(&cluster, policy.get());
   Rng rng(seed);
 
   std::vector<RackId> racks;
@@ -319,62 +288,14 @@ void DriveScenario(Policy kind, uint64_t seed, int rounds, int update_shards,
     // finds nothing further to change.
     scheduler.graph_manager().UpdateRound(now);
     scheduler.graph_manager().ValidateIntegrity();
-    if (trace != nullptr) {
-      RoundTrace entry;
-      entry.graph = CanonicalGraph(scheduler.graph_manager());
-      for (const GraphChange& change : scheduler.graph_manager().network()->Changes()) {
-        entry.journal.push_back(ChangeLabel(change));
-      }
-      const UpdateRoundStats& stats = scheduler.graph_manager().last_update_stats();
-      entry.tasks_refreshed = stats.tasks_refreshed;
-      entry.class_cache_hits = stats.class_cache_hits;
-      entry.class_cache_misses = stats.class_cache_misses;
-      entry.task_arcs_applied = stats.task_arcs_applied;
-      trace->push_back(std::move(entry));
-    }
-    if (check_vs_full) {
-      ExpectDeltaMatchesFullRefresh(kind, cluster, store.get(), scheduler.graph_manager(), now,
-                                    "round " + std::to_string(round));
-      if (::testing::Test::HasFailure()) {
-        return;  // one diff is enough; later rounds would cascade
-      }
+    ExpectDeltaMatchesFullRefresh(kind, cluster, store.get(), scheduler.graph_manager(), now,
+                                  "round " + std::to_string(round));
+    if (::testing::Test::HasFailure()) {
+      return;  // one diff is enough; later rounds would cascade
     }
 
     SchedulerRoundResult result = scheduler.RunSchedulingRound(now);
     ASSERT_NE(result.outcome, SolveOutcome::kCancelled);
-  }
-}
-
-void FuzzDeltaEquivalence(Policy kind, uint64_t seed, int rounds) {
-  DriveScenario(kind, seed, rounds, /*update_shards=*/0, /*check_vs_full=*/true, nullptr);
-}
-
-// The same scenario replayed through the serial path and the sharded
-// compute/apply split (1/2/8 shards) must be indistinguishable: identical
-// arc multiset AND identical journal — entry for entry, in order — AND
-// identical cache hit/miss counters. The journal half is what protects the
-// PR 2 solver contract (views patch from the journal; a reordered or
-// coalesced entry would desync them even if the final graph matched).
-void FuzzShardedEquivalence(Policy kind, uint64_t seed, int rounds) {
-  std::vector<RoundTrace> serial;
-  DriveScenario(kind, seed, rounds, /*update_shards=*/0, /*check_vs_full=*/false, &serial);
-  for (int shards : {1, 2, 8}) {
-    std::vector<RoundTrace> sharded;
-    DriveScenario(kind, seed, rounds, shards, /*check_vs_full=*/false, &sharded);
-    ASSERT_EQ(serial.size(), sharded.size()) << PolicyName(kind) << " shards=" << shards;
-    for (size_t r = 0; r < serial.size(); ++r) {
-      const std::string where = std::string(PolicyName(kind)) + " shards=" +
-                                std::to_string(shards) + " round " + std::to_string(r);
-      EXPECT_EQ(serial[r].graph, sharded[r].graph) << where << ": graph diverged";
-      EXPECT_EQ(serial[r].journal, sharded[r].journal) << where << ": journal diverged";
-      EXPECT_EQ(serial[r].tasks_refreshed, sharded[r].tasks_refreshed) << where;
-      EXPECT_EQ(serial[r].class_cache_hits, sharded[r].class_cache_hits) << where;
-      EXPECT_EQ(serial[r].class_cache_misses, sharded[r].class_cache_misses) << where;
-      EXPECT_EQ(serial[r].task_arcs_applied, sharded[r].task_arcs_applied) << where;
-      if (::testing::Test::HasFailure()) {
-        return;  // later rounds would cascade off the first divergence
-      }
-    }
   }
 }
 
@@ -383,9 +304,8 @@ void FuzzShardedEquivalence(Policy kind, uint64_t seed, int rounds) {
 // burst. Every round — before, during, and after the storm — the
 // delta-maintained graph must match a from-scratch rebuild, and the
 // cross-layer IntegrityChecker must report clean (or recover back to clean);
-// the persistent class cache stays on throughout, under both the serial and
-// the sharded update paths.
-void DriveFailureStorm(Policy kind, uint64_t seed, int update_shards) {
+// the persistent class cache stays on throughout.
+void DriveFailureStorm(Policy kind, uint64_t seed) {
   ClusterState cluster;
   std::unique_ptr<BlockStore> store;
   if (kind == Policy::kQuincyWithLocality) {
@@ -393,7 +313,6 @@ void DriveFailureStorm(Policy kind, uint64_t seed, int update_shards) {
   }
   std::unique_ptr<SchedulingPolicy> policy = MakePolicy(kind, &cluster, store.get());
   FirmamentSchedulerOptions options;
-  options.graph.update_shards = update_shards;
   options.graph.persistent_class_cache = true;
   FirmamentScheduler scheduler(&cluster, policy.get(), options);
   IntegrityChecker checker(&cluster, &scheduler.graph_manager());
@@ -479,27 +398,21 @@ void DriveFailureStorm(Policy kind, uint64_t seed, int update_shards) {
   }
 }
 
-void FuzzFailureStorms(Policy kind, int update_shards) {
+void FuzzFailureStorms(Policy kind) {
   for (uint64_t seed : {601u, 602u, 603u}) {
-    DriveFailureStorm(kind, seed, update_shards);
+    DriveFailureStorm(kind, seed);
     if (::testing::Test::HasFailure()) {
       return;
     }
   }
 }
 
-TEST(FailureStormFuzz, LoadSpreadingSerial) { FuzzFailureStorms(Policy::kLoadSpreading, 0); }
-TEST(FailureStormFuzz, LoadSpreadingSharded) { FuzzFailureStorms(Policy::kLoadSpreading, 4); }
-TEST(FailureStormFuzz, QuincySerial) { FuzzFailureStorms(Policy::kQuincy, 0); }
-TEST(FailureStormFuzz, QuincySharded) { FuzzFailureStorms(Policy::kQuincy, 4); }
+TEST(FailureStormFuzz, LoadSpreadingSerial) { FuzzFailureStorms(Policy::kLoadSpreading); }
+TEST(FailureStormFuzz, QuincySerial) { FuzzFailureStorms(Policy::kQuincy); }
 TEST(FailureStormFuzz, QuincyWithLocalitySerial) {
-  FuzzFailureStorms(Policy::kQuincyWithLocality, 0);
+  FuzzFailureStorms(Policy::kQuincyWithLocality);
 }
-TEST(FailureStormFuzz, QuincyWithLocalitySharded) {
-  FuzzFailureStorms(Policy::kQuincyWithLocality, 4);
-}
-TEST(FailureStormFuzz, NetworkAwareSerial) { FuzzFailureStorms(Policy::kNetworkAware, 0); }
-TEST(FailureStormFuzz, NetworkAwareSharded) { FuzzFailureStorms(Policy::kNetworkAware, 4); }
+TEST(FailureStormFuzz, NetworkAwareSerial) { FuzzFailureStorms(Policy::kNetworkAware); }
 
 // After detect-and-rebuild recovery, the rebuilt graph must be
 // byte-identical to one constructed from scratch off the same cluster state
@@ -560,21 +473,6 @@ TEST(PolicyDeltaEquivalence, QuincyWithLocalityFuzz) {
 
 TEST(PolicyDeltaEquivalence, NetworkAwareFuzz) {
   FuzzDeltaEquivalence(Policy::kNetworkAware, 404, 40);
-}
-
-// Serial vs sharded (1/2/8) equivalence under all three policies, machine
-// churn included (the scenario driver fails/adds machines and drains
-// racks/RAs); locality variant covers the class-cache invalidation paths.
-TEST(PolicyShardedEquivalence, LoadSpreadingFuzz) {
-  FuzzShardedEquivalence(Policy::kLoadSpreading, 111, 30);
-}
-
-TEST(PolicyShardedEquivalence, QuincyWithLocalityFuzz) {
-  FuzzShardedEquivalence(Policy::kQuincyWithLocality, 313, 30);
-}
-
-TEST(PolicyShardedEquivalence, NetworkAwareFuzz) {
-  FuzzShardedEquivalence(Policy::kNetworkAware, 414, 30);
 }
 
 // ---------------------------------------------------------------------------
