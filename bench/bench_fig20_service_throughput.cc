@@ -5,12 +5,16 @@
 // before advancing. A production front-end is open-loop — submitters do not
 // slow down because the scheduler is busy — so backlog shows up as
 // submit-to-placement latency. Three series:
-//  * open_loop/<batch_latency_us>: a TraceGenerator stream (plus seeded
-//    faults) replayed in scaled real time through the SchedulerService;
-//    reports sustained placement throughput and the p50/p99 of
-//    submit-to-placement latency as the admission batch-latency knob grows
-//    (bigger batches amortize rounds at the cost of queueing delay).
-//    Latencies are in *trace* seconds (wall x time_scale).
+//  * open_loop/<batch_latency_us>: a TraceGenerator workload (plus seeded
+//    crashes and task kills) turned into a trace event stream by
+//    SyntheticTraceEmitter and replayed from memory, in scaled real time,
+//    by TraceReplayDriver — the same driver fig21 feeds from CSV. Machines
+//    arrive as the stream's ADD rows into an empty cluster. Reports
+//    sustained placement throughput and the p50/p99 of submit-to-placement
+//    latency as the admission batch-latency knob grows (bigger batches
+//    amortize rounds at the cost of queueing delay); latencies are in
+//    *trace* seconds (wall x time_scale). replay_accounted is 1 when every
+//    consumed event landed in one report bucket and the drain converged.
 //  * pipeline_vs_serial: a saturated pre-enqueued stream drained with the
 //    solve/ingest pipeline on and off; pipeline_speedup is the wall-clock
 //    ratio. Needs >= 2 CPUs to show a speedup (solve and ingest share one
@@ -27,9 +31,9 @@
 #include "bench/bench_util.h"
 #include "src/base/service_clock.h"
 #include "src/service/scheduler_service.h"
-#include "src/sim/fault_injector.h"
-#include "src/sim/open_loop_driver.h"
 #include "src/sim/trace_generator.h"
+#include "src/trace/synthetic_trace.h"
+#include "src/trace/trace_replay_driver.h"
 
 namespace firmament {
 namespace {
@@ -63,51 +67,62 @@ void OpenLoopThroughput(benchmark::State& state) {
   const uint64_t batch_latency_us = static_cast<uint64_t>(state.range(0));
   const int machines = bench::Scaled(60, 400);
   const int slots = 8;
+  constexpr int kMachinesPerRack = 24;
   // Trace seconds per wall second: compresses a 30s trace into ~0.3s wall.
   const double time_scale = bench::Scaled(100.0, 25.0);
-  const SimTime horizon = bench::Scaled<SimTime>(30, 120) * kSec;
+
+  SyntheticTraceParams trace;
+  trace.workload.seed = 23;
+  trace.workload.num_machines = machines;
+  trace.workload.slots_per_machine = slots;
+  trace.workload.tasks_per_machine = 4.0;
+  trace.workload.batch_runtime_log_mean = 1.5;  // ~4.5s median: tasks turn over
+  trace.workload.batch_runtime_log_sigma = 0.6;
+  trace.workload.max_job_tasks = 60;
+  trace.faults.seed = 7;
+  trace.faults.machine_crash_rate = 0.03;
+  trace.faults.task_kill_rate = 0.1;
+  trace.horizon = bench::Scaled<SimTime>(30, 120) * kSec;
+  trace.machines_per_rack = kMachinesPerRack;
+  trace.late_machine_fraction = 0;
+  trace.machine_restart_us = 0;
+  trace.update_event_stride = 0;
+  const std::vector<TraceEvent> events = SyntheticTraceEmitter(trace).Emit();
 
   for (auto _ : state) {
-    ServiceEnv env(machines, slots, SolverMode::kRace);
-
-    TraceGeneratorParams trace;
-    trace.seed = 23;
-    trace.num_machines = machines;
-    trace.slots_per_machine = slots;
-    trace.tasks_per_machine = 4.0;
-    trace.batch_runtime_log_mean = 1.5;  // ~4.5s median: tasks turn over
-    trace.batch_runtime_log_sigma = 0.6;
-    trace.max_job_tasks = 60;
-    TraceGenerator generator(trace);
-    FaultInjectorParams fault_params;
-    fault_params.seed = 7;
-    fault_params.machine_crash_rate = 0.03;
-    fault_params.task_kill_rate = 0.1;
-    FaultInjector injector(fault_params);
-    std::vector<FaultSpec> faults;
-    std::vector<TraceJobSpec> jobs = generator.Generate(horizon, &injector, &faults);
+    ServiceEnv env(/*machines_count=*/0, slots, SolverMode::kRace);
 
     SchedulerServiceOptions options;
     options.pipeline = true;
     options.admission.queue_shards = 4;
     options.admission.max_batch_tasks = 4096;
     options.admission.max_batch_latency_us = batch_latency_us;
+    options.machines_per_rack = kMachinesPerRack;
     WallServiceClock clock(time_scale);
     SchedulerService service(env.scheduler.get(), &clock, options);
-    OpenLoopParams params;
-    params.time_scale = time_scale;
-    params.horizon = horizon;
-    OpenLoopDriver driver(&service, params, &injector, env.machines);
+    TraceReplayOptions replay_options;
+    replay_options.time_scale = time_scale;
+    replay_options.slots_at_full_capacity = slots;
+    TraceReplayDriver driver(&service, replay_options);
 
+    size_t next = 0;
     auto wall_start = std::chrono::steady_clock::now();
     service.Start();
-    OpenLoopReport report = driver.Replay(jobs, faults);
+    TraceReplayReport report = driver.Replay([&events, &next](TraceEvent* event) {
+      if (next == events.size()) {
+        return false;
+      }
+      *event = events[next++];
+      return true;
+    });
     service.Stop();
     double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
     ServiceCounters counters = service.counters();
     Distribution latency = service.submit_to_placement_latency();
+    const bool accounted =
+        report.accounted() == report.events_consumed && !report.drain_timed_out;
     state.SetIterationTime(std::max(1e-9, wall_seconds));
     state.counters["tasks_per_sec"] =
         static_cast<double>(counters.tasks_placed) / std::max(1e-9, wall_seconds);
@@ -116,12 +131,13 @@ void OpenLoopThroughput(benchmark::State& state) {
       state.counters["p50_s"] = latency.Median();
       state.counters["p99_s"] = latency.Percentile(0.99);
     }
-    state.counters["submitted"] = static_cast<double>(report.tasks_submitted);
+    state.counters["submitted"] = static_cast<double>(counters.tasks_submitted);
     state.counters["placed"] = static_cast<double>(counters.tasks_placed);
     state.counters["completed"] = static_cast<double>(report.completions_delivered);
     state.counters["rounds"] = static_cast<double>(counters.rounds);
-    state.counters["crashes"] = static_cast<double>(report.machines_crashed);
+    state.counters["crashes"] = static_cast<double>(report.machine_removes);
     state.counters["ingest_overlap"] = static_cast<double>(counters.events_ingested_during_solve);
+    state.counters["replay_accounted"] = accounted ? 1.0 : 0.0;
   }
 }
 

@@ -164,7 +164,8 @@ void TraceReplay(benchmark::State& state) {
 
     auto wall_start = std::chrono::steady_clock::now();
     service.Start();
-    TraceReplayReport report = driver.Replay(&stream);
+    TraceReplayReport report =
+        driver.Replay([&stream](TraceEvent* event) { return stream.Next(event); });
     service.Stop();
     double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();

@@ -681,12 +681,11 @@ void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
 
   // Task arcs for the round's dirty tasks, shared per equivalence class.
   // The cache persists across rounds; only invalidated entries recompute.
-  // A full refresh (and the legacy per-round mode) drops it wholesale so
-  // every class is recomputed from current state, and MarkAllTasks — the
-  // policies' wide-invalidation escape hatch — does the same since it
-  // signals "anything may have changed".
-  if (full || marks_.all_tasks || marks_.all_equiv_classes ||
-      !options_.persistent_class_cache) {
+  // A full refresh drops it wholesale so every class is recomputed from
+  // current state, and MarkAllTasks — the policies' wide-invalidation
+  // escape hatch — does the same since it signals "anything may have
+  // changed".
+  if (full || marks_.all_tasks || marks_.all_equiv_classes) {
     ClearClassCache();
   } else {
     for (EquivClass ec : marks_.equiv_classes) {

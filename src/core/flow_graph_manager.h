@@ -52,11 +52,6 @@ struct FlowGraphManagerOptions {
   // of flow to the sink and drain it so feasibility is preserved and
   // incremental cost scaling repairs less (Fig. 12b ablates this).
   bool task_removal_drain = true;
-  // Keep the equivalence-class arc cache across rounds, invalidated from
-  // deltas (node removals + policy MarkEquivClass). OFF restores the legacy
-  // per-round cache (cleared at the top of every UpdateRound) — kept for
-  // the fig11 bursty-submit ablation and as a bisection aid.
-  bool persistent_class_cache = true;
 };
 
 // How UpdateRound refreshes the graph. kDelta (the default) consumes the
@@ -316,8 +311,7 @@ class FlowGraphManager {
   // Cross-round equivalence-class arc cache: class key -> shared arc specs,
   // reused verbatim until invalidated. ec_dst_index_ is the reverse index
   // (arc destination -> classes whose cached specs reference it) that node
-  // removals invalidate through; with persistent_class_cache=false the
-  // cache degenerates to the legacy per-round one (cleared every round).
+  // removals invalidate through.
   std::unordered_map<EquivClass, std::vector<ArcSpec>> ec_cache_;
   std::unordered_map<NodeId, std::unordered_set<EquivClass>> ec_dst_index_;
   // Live tasks per class (from TaskInfo::ec). When the count hits zero the

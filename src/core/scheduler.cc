@@ -16,8 +16,7 @@ FirmamentScheduler::FirmamentScheduler(ClusterState* cluster, SchedulingPolicy* 
       solver_(options.solver),
       integrity_checker_(cluster, &graph_manager_),
       check_integrity_(options.check_integrity),
-      enable_templates_(options.enable_templates),
-      template_cache_(options.template_capacity) {
+      enable_templates_(options.enable_templates) {
   if (enable_templates_) {
     // Semantic class invalidations (MarkEquivClass, node-removal purges) and
     // wholesale class-cache clears cascade into the template layer: a

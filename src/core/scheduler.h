@@ -94,7 +94,6 @@ struct FirmamentSchedulerOptions {
   // Off by default; policies whose TemplateFingerprint returns 0 stay on
   // the solver path even when enabled.
   bool enable_templates = false;
-  size_t template_capacity = 4096;
 };
 
 // Outcome of the template fast path for one SubmitJob call (all false when

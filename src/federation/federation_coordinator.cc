@@ -13,6 +13,15 @@ namespace firmament {
 
 namespace {
 
+// Spill cap per job, so a cluster-wide capacity crunch cannot bounce a job
+// between cells forever.
+constexpr size_t kMaxSpillsPerJob = 3;
+// Rebalance flow arc costs: moving one task between cells vs leaving it
+// queued where it is. move < stay makes the solver move work wherever
+// spare capacity exists.
+constexpr int64_t kRebalanceMoveCost = 1;
+constexpr int64_t kRebalanceStayCost = 8;
+
 // Worst-severity merge: a degraded cell degrades the round (the service
 // schedules a follow-up), approximate taints optimal, and infeasible only
 // surfaces when *every* cell that ran was infeasible — one oversubscribed
@@ -384,7 +393,7 @@ void FederationCoordinator::RebalancePass(SimTime now, FederationRoundResult* re
     return;
   }
   // Small flow problem over cell aggregates: donors supply their surplus,
-  // receivers absorb up to their spare, moving costs rebalance_move_cost
+  // receivers absorb up to their spare, moving costs kRebalanceMoveCost
   // per task; the escape arc (stay queued at home) costs more, so flow
   // moves exactly where spare capacity exists and nowhere else.
   FlowNetwork net;
@@ -401,11 +410,11 @@ void FederationCoordinator::RebalancePass(SimTime now, FederationRoundResult* re
   for (size_t i = 0; i < n; ++i) {
     if (surplus[i] == 0) continue;
     NodeId donor = net.AddNode(surplus[i], NodeKind::kAggregator);
-    net.AddArc(donor, sink, surplus[i], options_.rebalance_stay_cost);
+    net.AddArc(donor, sink, surplus[i], kRebalanceStayCost);
     for (size_t j = 0; j < n; ++j) {
       if (j == i || receiver[j] == kInvalidNodeId) continue;
       ArcId arc = net.AddArc(donor, receiver[j], std::min(surplus[i], spare[j]),
-                             options_.rebalance_move_cost);
+                             kRebalanceMoveCost);
       move_arcs.push_back({arc, {static_cast<uint32_t>(i), static_cast<uint32_t>(j)}});
     }
   }
@@ -569,7 +578,7 @@ void FederationCoordinator::UpdateWaitAccounting(const std::vector<uint8_t>& ran
     }
     ++route.wait_rounds;
     if (!route.pending_spill && route.wait_rounds >= options_.spill_after_rounds &&
-        route.spill_count < options_.max_spills_per_job &&
+        route.spill_count < kMaxSpillsPerJob &&
         PickSpillTarget(route.cell, route.live) != route.cell) {
       // Queue only when a viable sibling exists *now*; execution next round
       // re-validates both the headroom and the still-waiting claim. This

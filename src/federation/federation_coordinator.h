@@ -73,16 +73,8 @@ struct FederationOptions {
   // becomes a spill candidate (its unscheduled-cost ramp has had that many
   // chances to win locally and lost).
   size_t spill_after_rounds = 2;
-  // Spill cap per job, so a cluster-wide capacity crunch cannot bounce a
-  // job between cells forever.
-  size_t max_spills_per_job = 3;
   // Cross-cell rebalance cadence in coordinator rounds (0 disables).
   size_t rebalance_every_rounds = 16;
-  // Rebalance flow arc costs: moving one task between cells vs leaving it
-  // queued where it is. move < stay makes the solver move work wherever
-  // spare capacity exists; raising move makes rebalance stickier.
-  int64_t rebalance_move_cost = 1;
-  int64_t rebalance_stay_cost = 8;
   // Global per-round solve budget split across solving cells proportional
   // to live graph size (0 = no budget; cells keep their own settings).
   uint64_t solve_budget_us = 0;

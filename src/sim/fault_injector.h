@@ -57,7 +57,8 @@ enum class FaultKind : uint8_t {
 };
 
 // Capped exponential backoff shared by every kill-and-resubmit path (the
-// injector, the open-loop driver's feedback helper, the trace replayer):
+// injector, the synthetic trace emitter, the replay drivers' feedback
+// helper):
 // attempt n (>= 1) waits min(base * 2^(n-1), cap).
 inline SimTime CappedExponentialBackoff(SimTime base_us, SimTime cap_us, int attempt) {
   if (attempt < 1) {

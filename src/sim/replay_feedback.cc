@@ -1,6 +1,6 @@
 #include "src/sim/replay_feedback.h"
 
-#include <algorithm>
+#include "src/sim/fault_injector.h"
 
 namespace firmament {
 
@@ -44,25 +44,6 @@ bool ReplayFeedback::Kill(TaskId task, TaskInfo* info) {
   return true;
 }
 
-bool ReplayFeedback::KillRandomVictim(FaultInjector* injector, TaskId* task,
-                                      TaskInfo* info) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (running_.empty()) {
-    return false;
-  }
-  std::vector<TaskId> candidates;
-  candidates.reserve(running_.size());
-  for (const auto& [candidate, unused] : running_) {
-    candidates.push_back(candidate);
-  }
-  std::sort(candidates.begin(), candidates.end());  // deterministic pick
-  TaskId victim = candidates[injector->PickIndex(candidates.size())];
-  *task = victim;
-  *info = running_[victim];
-  running_.erase(victim);
-  return true;
-}
-
 void ReplayFeedback::QueueResubmit(SimTime now, TaskInfo info) {
   ++info.attempts;
   SimTime due =
@@ -84,11 +65,6 @@ bool ReplayFeedback::PopDueResubmit(SimTime upto, TaskInfo* info) {
 SimTime ReplayFeedback::NextResubmitDue() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return resubmits_.empty() ? kNoDue : resubmits_.top().due;
-}
-
-size_t ReplayFeedback::running_count() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return running_.size();
 }
 
 }  // namespace firmament

@@ -1,12 +1,11 @@
-// Completion-feedback and kill-and-resubmit bookkeeping shared by the
-// drivers that replay workloads through the SchedulerService producer API
-// (OpenLoopDriver for synthetic streams, TraceReplayDriver for parsed
-// traces).
+// Completion-feedback and kill-and-resubmit bookkeeping for drivers that
+// replay workloads through the SchedulerService producer API:
+// TraceReplayDriver (src/trace/trace_replay_driver.h) and the virtual-time
+// benchmark driver.
 //
-// Both drivers close the same two loops around the service:
+// A driver closes two loops around the service:
 //  * completions — a placed task's Complete() call is scheduled for a later
-//    instant (placement + runtime for the open-loop driver; the trace's
-//    FINISH timestamp, clamped to the placement, for the replayer), and
+//    instant (the trace's FINISH timestamp, clamped to the placement), and
 //  * kill-and-resubmit — a killed task leaves the running set and a
 //    replacement submission is queued after the lineage's capped
 //    exponential backoff.
@@ -20,6 +19,7 @@
 #define SRC_SIM_REPLAY_FEEDBACK_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <queue>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/core/types.h"
-#include "src/sim/fault_injector.h"
 
 namespace firmament {
 
@@ -68,17 +67,11 @@ class ReplayFeedback {
   // was not tracked. The heap entry, if any, becomes stale and is skipped.
   bool Kill(TaskId task, TaskInfo* info);
 
-  // Deterministically kills a running victim picked by the injector
-  // (candidates sorted by id); false when nothing is running.
-  bool KillRandomVictim(FaultInjector* injector, TaskId* task, TaskInfo* info);
-
   // Queues a replacement submission: bumps info.attempts and schedules it
   // for now + CappedExponentialBackoff(attempts).
   void QueueResubmit(SimTime now, TaskInfo info);
   bool PopDueResubmit(SimTime upto, TaskInfo* info);
   SimTime NextResubmitDue() const;
-
-  size_t running_count() const;
 
  private:
   struct DueTask {

@@ -397,9 +397,9 @@ bool TraceReplayDriver::DrainWorkRemains() {
   return !pending_admissions_.empty() || drain_obligations_ > 0;
 }
 
-TraceReplayReport TraceReplayDriver::Replay(MergedTraceStream* stream) {
+TraceReplayReport TraceReplayDriver::Replay(const std::function<bool(TraceEvent*)>& next) {
   TraceEvent event;
-  while (stream->Next(&event)) {
+  while (next(&event)) {
     ++report_.events_consumed;
     if (options_.horizon > 0 && event.time > options_.horizon) {
       FlushSubmitBatch();

@@ -1,5 +1,8 @@
-// End-to-end trace replay: feeds a merged Google-trace-format event stream
-// through the SchedulerService producer API in scaled trace time.
+// End-to-end trace replay: feeds a Google-trace-format event stream through
+// the SchedulerService producer API in scaled trace time. This is the one
+// service replay driver: the stream may come from the CSV parsers
+// (MergedTraceStream::Next) or straight from memory (a walk over
+// SyntheticTraceEmitter::Emit(), which fig20's open-loop series uses).
 //
 // Event mapping (§7.1-style "Fauxmaster" replay):
 //  * task SUBMIT        -> SchedulerService::Submit (consecutive rows of one
@@ -35,6 +38,7 @@
 #define SRC_TRACE_TRACE_REPLAY_DRIVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -42,7 +46,6 @@
 #include "src/service/scheduler_service.h"
 #include "src/sim/replay_feedback.h"
 #include "src/trace/trace_event.h"
-#include "src/trace/trace_reader.h"
 
 namespace firmament {
 
@@ -125,9 +128,11 @@ class TraceReplayDriver {
   TraceReplayDriver(const TraceReplayDriver&) = delete;
   TraceReplayDriver& operator=(const TraceReplayDriver&) = delete;
 
-  // Consumes the stream on the calling thread (the service must be
-  // running), then drains in-flight feedback chains. Call once.
-  TraceReplayReport Replay(MergedTraceStream* stream);
+  // Consumes the event source on the calling thread (the service must be
+  // running), then drains in-flight feedback chains. `next` fills in the
+  // next event and returns false at the end of the stream; events must come
+  // in canonical stream order (TraceEventOrder). Call once.
+  TraceReplayReport Replay(const std::function<bool(TraceEvent*)>& next);
 
   // Live lineages (submitted, not yet completed) — the O(live) figure.
   size_t live_lineages() const;

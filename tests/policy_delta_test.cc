@@ -303,8 +303,7 @@ void FuzzDeltaEquivalence(Policy kind, uint64_t seed, int rounds) {
 // rack-correlated storm removes ~30% of the alive machines in a single
 // burst. Every round — before, during, and after the storm — the
 // delta-maintained graph must match a from-scratch rebuild, and the
-// cross-layer IntegrityChecker must report clean (or recover back to clean);
-// the persistent class cache stays on throughout.
+// cross-layer IntegrityChecker must report clean (or recover back to clean).
 void DriveFailureStorm(Policy kind, uint64_t seed) {
   ClusterState cluster;
   std::unique_ptr<BlockStore> store;
@@ -312,9 +311,7 @@ void DriveFailureStorm(Policy kind, uint64_t seed) {
     store = std::make_unique<BlockStore>(&cluster, seed + 1);
   }
   std::unique_ptr<SchedulingPolicy> policy = MakePolicy(kind, &cluster, store.get());
-  FirmamentSchedulerOptions options;
-  options.graph.persistent_class_cache = true;
-  FirmamentScheduler scheduler(&cluster, policy.get(), options);
+  FirmamentScheduler scheduler(&cluster, policy.get());
   IntegrityChecker checker(&cluster, &scheduler.graph_manager());
   Rng rng(seed);
 
@@ -420,9 +417,7 @@ TEST(FailureStormFuzz, NetworkAwareSerial) { FuzzFailureStorms(Policy::kNetworkA
 TEST(PolicyDeltaTest, RecoveryRebuildMatchesFromScratch) {
   ClusterState cluster;
   std::unique_ptr<SchedulingPolicy> policy = MakePolicy(Policy::kQuincy, &cluster, nullptr);
-  FirmamentSchedulerOptions options;
-  options.graph.persistent_class_cache = true;
-  FirmamentScheduler scheduler(&cluster, policy.get(), options);
+  FirmamentScheduler scheduler(&cluster, policy.get());
   IntegrityChecker checker(&cluster, &scheduler.graph_manager());
   RackId rack = cluster.AddRack();
   for (int m = 0; m < 4; ++m) {
@@ -712,42 +707,6 @@ TEST(PolicyDeltaTest, DrainedClassIsEvictedAndRecomputedOnResubmit) {
   scheduler.graph_manager().ValidateIntegrity();
   ExpectDeltaMatchesFullRefresh(Policy::kQuincyWithLocality, cluster, &store,
                                 scheduler.graph_manager(), now, "resubmit after drain+removal");
-}
-
-// The legacy per-round cache mode (persistent_class_cache = false) must
-// recompute the class every round yet produce the identical graph — the
-// fig11 bursty-submit bench relies on both halves of that statement.
-TEST(PolicyDeltaTest, PerRoundCacheModeStaysEquivalent) {
-  ClusterState cluster;
-  BlockStore store(&cluster, 17);
-  QuincyPolicy policy(&cluster, &store);
-  FirmamentSchedulerOptions options;
-  options.graph.persistent_class_cache = false;
-  FirmamentScheduler scheduler(&cluster, &policy, options);
-  RackId rack = cluster.AddRack();
-  for (int m = 0; m < 6; ++m) {
-    scheduler.AddMachine(rack, MachineSpec{.slots = 8});
-  }
-  const int64_t bytes = 900'000'000;
-  std::vector<uint64_t> blocks = store.AllocateInput(bytes);
-  SimTime now = 0;
-  size_t total_misses = 0;
-  for (int round = 0; round < 4; ++round) {
-    std::vector<TaskDescriptor> tasks(4);
-    for (TaskDescriptor& task : tasks) {
-      task.runtime = 1'000 * kSec;
-      task.input_size_bytes = bytes;
-      task.input_blocks = blocks;
-    }
-    scheduler.SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
-    scheduler.RunSchedulingRound(now);
-    total_misses += scheduler.graph_manager().last_update_stats().class_cache_misses;
-    now += kSec;
-  }
-  EXPECT_EQ(total_misses, 4u) << "per-round mode recomputes the class each round";
-  scheduler.graph_manager().UpdateRound(now);
-  ExpectDeltaMatchesFullRefresh(Policy::kQuincyWithLocality, cluster, &store,
-                                scheduler.graph_manager(), now, "per-round cache mode");
 }
 
 // ---------------------------------------------------------------------------

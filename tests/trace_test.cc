@@ -262,20 +262,33 @@ TEST(TraceParserTest, MergedStreamOrdersMachineEventsFirstAtTies) {
 // End-to-end replay through the SchedulerService.
 // ---------------------------------------------------------------------------
 
+// Where RunSmallReplay's events come from: the emitter's CSV tables read
+// back through the streaming parsers, or the emitter's in-memory event
+// vector handed to the driver directly.
+enum class ReplaySource { kCsv, kEmitted };
+
 struct ReplayRun {
   TraceReplayReport report;
   ServiceCounters counters;
   SyntheticTraceCounts trace;
-  TraceParseStats parse;
+  TraceParseStats parse;  // zero for kEmitted (nothing parsed)
+  uint64_t source_events = 0;  // events the source handed to the driver
   size_t live_lineages = 0;
 };
 
-ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& tag) {
+ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& tag,
+                         ReplaySource source = ReplaySource::kCsv) {
   std::string machine_csv = TempPath(tag + "_machine_events.csv");
   std::string task_csv = TempPath(tag + "_task_events.csv");
   SyntheticTraceEmitter emitter(params);
   ReplayRun run;
-  run.trace = emitter.WriteCsv(machine_csv, task_csv);
+  std::vector<TraceEvent> emitted;
+  if (source == ReplaySource::kCsv) {
+    run.trace = emitter.WriteCsv(machine_csv, task_csv);
+  } else {
+    emitted = emitter.Emit();
+    run.trace = emitter.counts();
+  }
 
   ClusterState cluster;
   LoadSpreadingPolicy policy(&cluster);
@@ -295,17 +308,27 @@ ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& 
   TraceReplayDriver driver(&service, replay_options);
   service.Start();
 
-  TraceTableReader machine_reader(TraceTable::kMachineEvents, machine_csv);
-  TraceTableReader task_reader(TraceTable::kTaskEvents, task_csv);
-  MergedTraceStream stream({&machine_reader, &task_reader});
-  run.report = driver.Replay(&stream);
+  if (source == ReplaySource::kCsv) {
+    TraceTableReader machine_reader(TraceTable::kMachineEvents, machine_csv);
+    TraceTableReader task_reader(TraceTable::kTaskEvents, task_csv);
+    MergedTraceStream stream({&machine_reader, &task_reader});
+    run.report = driver.Replay([&stream](TraceEvent* event) { return stream.Next(event); });
+    run.parse = stream.stats();
+    run.source_events = run.parse.events;
+    std::remove(machine_csv.c_str());
+    std::remove(task_csv.c_str());
+  } else {
+    run.report = driver.Replay([&emitted, &run](TraceEvent* event) {
+      if (run.source_events == emitted.size()) {
+        return false;
+      }
+      *event = emitted[run.source_events++];
+      return true;
+    });
+  }
   service.Stop();
   run.counters = service.counters();
-  run.parse = stream.stats();
   run.live_lineages = driver.live_lineages();
-
-  std::remove(machine_csv.c_str());
-  std::remove(task_csv.c_str());
   return run;
 }
 
@@ -313,7 +336,8 @@ void CheckReplayInvariants(const ReplayRun& run) {
   // Zero parse drops on a cleanly emitted trace, and zero event loss
   // through the driver: every consumed event is in exactly one bucket.
   EXPECT_EQ(run.parse.dropped(), 0u);
-  EXPECT_EQ(run.parse.events, run.report.events_consumed);
+  EXPECT_EQ(run.source_events, run.report.events_consumed);
+  EXPECT_EQ(run.report.events_consumed, run.trace.machine_events + run.trace.task_events);
   EXPECT_EQ(run.report.accounted(), run.report.events_consumed);
   EXPECT_FALSE(run.report.drain_timed_out);
 
@@ -353,20 +377,25 @@ TEST(TraceReplayTest, FaultFreeReplayPlacesAndCompletesEverything) {
   EXPECT_GT(run.live_lineages, 0u);
 }
 
+// Run from both sources: the in-memory walk over Emit() (fig20's open-loop
+// feed) must satisfy the same accounting as the parsed CSV tables.
 TEST(TraceReplayTest, FaultStormReplayStaysAccounted) {
   SyntheticTraceParams params = SmallTraceParams();
   params.faults.seed = 99;
   params.faults.machine_crash_rate = 0.08;
   params.faults.task_kill_rate = 0.3;
   params.faults.storm_probability = 0.5;
-  ReplayRun run = RunSmallReplay(params, "replay_faults");
-  CheckReplayInvariants(run);
-  EXPECT_GT(run.trace.kills, 0u);
-  EXPECT_GT(run.trace.machine_removes, 0u);
-  // Kill-and-resubmit actually cycled: each non-redundant kill queues one
-  // resubmission (delivered unless its lineage row never re-placed).
-  EXPECT_GT(run.report.tasks_resubmitted, 0u);
-  EXPECT_EQ(run.report.tasks_resubmitted, run.report.kills);
+  for (ReplaySource source : {ReplaySource::kCsv, ReplaySource::kEmitted}) {
+    SCOPED_TRACE(source == ReplaySource::kCsv ? "csv" : "emitted");
+    ReplayRun run = RunSmallReplay(params, "replay_faults", source);
+    CheckReplayInvariants(run);
+    EXPECT_GT(run.trace.kills, 0u);
+    EXPECT_GT(run.trace.machine_removes, 0u);
+    // Kill-and-resubmit actually cycled: each non-redundant kill queues one
+    // resubmission (delivered unless its lineage row never re-placed).
+    EXPECT_GT(run.report.tasks_resubmitted, 0u);
+    EXPECT_EQ(run.report.tasks_resubmitted, run.report.kills);
+  }
 }
 
 TEST(TraceReplayTest, HorizonSkipsAndAccountsTailEvents) {
@@ -397,7 +426,8 @@ TEST(TraceReplayTest, HorizonSkipsAndAccountsTailEvents) {
   TraceTableReader machine_reader(TraceTable::kMachineEvents, machine_csv);
   TraceTableReader task_reader(TraceTable::kTaskEvents, task_csv);
   MergedTraceStream stream({&machine_reader, &task_reader});
-  TraceReplayReport report = driver.Replay(&stream);
+  TraceReplayReport report =
+      driver.Replay([&stream](TraceEvent* event) { return stream.Next(event); });
   service.Stop();
 
   EXPECT_GT(report.beyond_horizon, 0u);
