@@ -207,14 +207,14 @@ void TraceReplay(benchmark::State& state) {
       state.counters["wall_p50_ms"] = wall_latency.Median() * 1e3;
       state.counters["wall_p99_ms"] = wall_latency.Percentile(0.99) * 1e3;
     }
-    state.counters["template_hits"] = static_cast<double>(report.template_hits);
-    state.counters["template_misses"] = static_cast<double>(report.template_misses);
+    state.counters["template_hits"] = static_cast<double>(counters.template_hits);
+    state.counters["template_misses"] = static_cast<double>(counters.template_misses);
     state.counters["template_validation_failures"] =
-        static_cast<double>(report.template_validation_failures);
+        static_cast<double>(counters.template_validation_failures);
     state.counters["template_hit_rate"] =
-        static_cast<double>(report.template_hits) /
-        std::max<double>(1.0, static_cast<double>(report.template_hits +
-                                                  report.template_misses));
+        static_cast<double>(counters.template_hits) /
+        std::max<double>(1.0, static_cast<double>(counters.template_hits +
+                                                  counters.template_misses));
     state.counters["rounds"] = static_cast<double>(agg.rounds);
     double rounds = std::max<double>(1.0, static_cast<double>(agg.rounds));
     state.counters["update_ms"] = static_cast<double>(agg.update_us) / 1e3 / rounds;

@@ -168,8 +168,9 @@ inline void ReportDistribution(benchmark::State& state, const Distribution& dist
 }
 
 // Console reporter that also captures every run and, at exit, writes them as
-// machine-readable JSON (BENCH_<figure>.json in the working directory) so
-// successive commits have a perf trajectory to diff against.
+// machine-readable JSON (BENCH_<figure>.json in the working directory),
+// stamped with the host's CPU count and clock, so successive commits have a
+// perf trajectory to diff against.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonTeeReporter(std::string path) : path_(std::move(path)) {}
@@ -188,7 +189,12 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"scale\": \"%s\",\n  \"benchmarks\": [\n", FullScale() ? "full" : "small");
+    // Host stamp: a baseline diff is only meaningful against a run on a
+    // comparable host, so the gate evaluator prints it next to nproc.
+    const benchmark::CPUInfo& cpu = benchmark::CPUInfo::Get();
+    std::fprintf(f, "{\n  \"scale\": \"%s\",\n  \"cpus\": %d,\n  \"mhz\": %.0f,\n",
+                 FullScale() ? "full" : "small", cpu.num_cpus, cpu.cycles_per_second / 1e6);
+    std::fprintf(f, "  \"benchmarks\": [\n");
     for (size_t i = 0; i < captured_.size(); ++i) {
       const Run& run = captured_[i];
       std::fprintf(f,

@@ -41,38 +41,22 @@ void TraceReplayDriver::OnAdmitted(uint64_t seq, JobId job,
                                    const std::vector<TaskId>& tasks) {
   (void)job;
   std::unique_lock<std::mutex> lock(mutex_);
+  // SubmitLineages parks the keys under the lock it holds across Submit(),
+  // so the seq is always here by the time the loop admits the batch.
   auto it = pending_admissions_.find(seq);
-  if (it == pending_admissions_.end()) {
-    // The loop admitted the batch before Submit() returned its seq to the
-    // driver; park the ids for the driver to claim right after.
-    unclaimed_admissions_[seq] = tasks;
-    return;
-  }
-  BindAdmissionLocked(it->second, tasks);
-  pending_admissions_.erase(it);
-}
-
-void TraceReplayDriver::BindAdmissionLocked(const std::vector<uint64_t>& keys,
-                                            const std::vector<TaskId>& tasks) {
+  CHECK(it != pending_admissions_.end());
+  const std::vector<uint64_t>& keys = it->second;
   CHECK_EQ(keys.size(), tasks.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    auto it = lineages_.find(keys[i]);
-    if (it == lineages_.end()) {
-      early_placements_.erase(tasks[i]);
+    auto lineage = lineages_.find(keys[i]);
+    if (lineage == lineages_.end()) {
       continue;
     }
-    it->second.task = tasks[i];
-    it->second.phase = Phase::kWaiting;
+    lineage->second.task = tasks[i];
+    lineage->second.phase = Phase::kWaiting;
     task_to_key_[tasks[i]] = keys[i];
-    auto placed = early_placements_.find(tasks[i]);
-    if (placed != early_placements_.end()) {
-      // The loop placed this task before we claimed its id; replay the
-      // placement now that the lineage is bound.
-      SimTime when = placed->second;
-      early_placements_.erase(placed);
-      ActivatePlacementLocked(keys[i], it->second, when);
-    }
   }
+  pending_admissions_.erase(it);
 }
 
 void TraceReplayDriver::OnPlaced(TaskId task, MachineId machine, SimTime now) {
@@ -80,10 +64,6 @@ void TraceReplayDriver::OnPlaced(TaskId task, MachineId machine, SimTime now) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto key_it = task_to_key_.find(task);
   if (key_it == task_to_key_.end()) {
-    // Placement for a task we have not bound yet — the loop admitted and
-    // placed the batch inside the unclaimed-admission window. Park it;
-    // BindAdmissionLocked replays it.
-    early_placements_[task] = now;
     return;
   }
   auto it = lineages_.find(key_it->second);
@@ -147,15 +127,11 @@ void TraceReplayDriver::KillPlacedLocked(uint64_t key, Lineage& lineage, SimTime
 void TraceReplayDriver::SubmitLineages(JobType type, int32_t priority,
                                        std::vector<TaskDescriptor> tasks,
                                        std::vector<uint64_t> keys) {
+  // Submit() only enqueues, so holding the lock across it is safe, and it
+  // keeps OnAdmitted from running before the keys are parked.
+  std::unique_lock<std::mutex> lock(mutex_);
   uint64_t seq = service_->Submit(type, priority, std::move(tasks));
   ++report_.service_submit_calls;
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto it = unclaimed_admissions_.find(seq);
-  if (it != unclaimed_admissions_.end()) {
-    BindAdmissionLocked(keys, it->second);
-    unclaimed_admissions_.erase(it);
-    return;
-  }
   pending_admissions_.emplace(seq, std::move(keys));
 }
 
@@ -439,12 +415,6 @@ TraceReplayReport TraceReplayDriver::Replay(const std::function<bool(TraceEvent*
       break;
     }
     std::this_thread::sleep_for(kDrainPoll);
-  }
-  {
-    const ServiceCounters counters = service_->counters();
-    report_.template_hits = counters.template_hits;
-    report_.template_misses = counters.template_misses;
-    report_.template_validation_failures = counters.template_validation_failures;
   }
   return report_;
 }

@@ -102,11 +102,6 @@ struct TraceReplayReport {
   uint64_t completions_delivered = 0;
   uint64_t deferred_kills = 0;  // kills that waited for the lineage's placement
   bool drain_timed_out = false;
-  // Placement-template fast path (from the scheduler's cache at replay end;
-  // zero unless the scheduler was built with enable_templates).
-  uint64_t template_hits = 0;
-  uint64_t template_misses = 0;
-  uint64_t template_validation_failures = 0;
 
   // Sum of the per-event buckets; the zero-event-loss identity is
   // accounted() == events_consumed.
@@ -175,9 +170,6 @@ class TraceReplayDriver {
 
   void OnAdmitted(uint64_t seq, JobId job, const std::vector<TaskId>& tasks);
   void OnPlaced(TaskId task, MachineId machine, SimTime now);
-  // Binds minted TaskIds to their lineages (caller holds mutex_).
-  void BindAdmissionLocked(const std::vector<uint64_t>& keys,
-                           const std::vector<TaskId>& tasks);
   // First-placement bookkeeping for a just-placed lineage: feedback
   // tracking, then any deferred kill or finish (caller holds mutex_).
   void ActivatePlacementLocked(uint64_t key, Lineage& lineage, SimTime now);
@@ -204,15 +196,9 @@ class TraceReplayDriver {
   mutable std::mutex mutex_;
   std::unordered_map<uint64_t, Lineage> lineages_;
   std::unordered_map<TaskId, uint64_t> task_to_key_;
-  // Submit-seq rendezvous: the driver parks keys in pending_admissions_; if
-  // the loop's on_admitted beat Submit()'s return, the ids park in
-  // unclaimed_admissions_ instead and the driver claims them right after.
+  // Submit-seq rendezvous: SubmitLineages parks the keys under mutex_ in
+  // the same critical section as Submit(), and on_admitted binds them.
   std::unordered_map<uint64_t, std::vector<uint64_t>> pending_admissions_;
-  std::unordered_map<uint64_t, std::vector<TaskId>> unclaimed_admissions_;
-  // Placements that fired before the driver claimed the admission ids (the
-  // loop can admit AND place a batch inside the unclaimed window); replayed
-  // when BindAdmissionLocked attaches the ids.
-  std::unordered_map<TaskId, SimTime> early_placements_;
   // Count of deferred duties the drain phase must wait out: pending kills
   // and pending finishes attached to not-yet-placed lineages.
   uint64_t drain_obligations_ = 0;
