@@ -38,10 +38,11 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 
   # Fault-fuzz leg: rack-correlated failure storms under all four policies
-  # (three seeds each) plus the seeded
-  # fault-injector simulation and the detect-and-rebuild recovery paths —
-  # every round must complete with zero aborts under ASan, with delta/full
-  # equivalence and a clean (or recovered) integrity report each round.
+  # (three seeds each), the seeded fault-injector decision stream (the
+  # crash/storm/kill trace it feeds replays in the trace-ingestion leg
+  # below), and the detect-and-rebuild recovery paths — every round must
+  # complete with zero aborts under ASan, with delta/full equivalence and a
+  # clean (or recovered) integrity report each round.
   ./build-asan/policy_delta_test \
     --gtest_filter='FailureStormFuzz.*:PolicyDeltaTest.RecoveryRebuildMatchesFromScratch'
   ./build-asan/scheduler_integration_test \

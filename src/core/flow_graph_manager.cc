@@ -131,7 +131,6 @@ void FlowGraphManager::InvalidateClass(EquivClass ec) {
     }
   }
   ec_cache_.erase(it);
-  ++update_stats_.classes_invalidated;
 }
 
 void FlowGraphManager::InvalidateClassesReferencing(NodeId dst) {
@@ -154,7 +153,6 @@ void FlowGraphManager::InvalidateClassesReferencing(NodeId dst) {
 }
 
 void FlowGraphManager::ClearClassCache() {
-  update_stats_.classes_invalidated += ec_cache_.size();
   ec_cache_.clear();
   ec_dst_index_.clear();
   if (on_class_cache_cleared_) {
@@ -612,7 +610,6 @@ void FlowGraphManager::RefreshTask(TaskId task_id, SimTime now) {
     ++update_stats_.class_cache_hits;
   }
   scratch_specs_.insert(scratch_specs_.end(), cache_it->second.begin(), cache_it->second.end());
-  update_stats_.task_arcs_applied += scratch_specs_.size();
   DiffArcs(info.node, scratch_specs_, &info.arcs);
 
   network_.SetArcCost(info.unscheduled_arc, RampCost(info.ramp, task, now));

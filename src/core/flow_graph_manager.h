@@ -67,8 +67,6 @@ struct UpdateRoundStats {
   size_t tasks_refreshed = 0;       // RefreshTask calls this round
   size_t class_cache_hits = 0;      // class arcs served from the cache
   size_t class_cache_misses = 0;    // EquivClassArcs policy calls
-  size_t classes_invalidated = 0;   // entries dropped (marks + node removals)
-  size_t task_arcs_applied = 0;     // ArcSpecs handed to DiffArcs for tasks
 };
 
 class FlowGraphManager {

@@ -405,17 +405,6 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
   result.graph_update_us = pending_graph_update_us_;
   result.recovery_actions = std::move(pending_recovery_);
   pending_recovery_.clear();
-  // Template traffic since the previous ApplyRound is attributed to this
-  // round (bypass hits never enter a round on their own, so the round
-  // result is where they become visible to drivers).
-  {
-    const PlacementTemplateStats& t = template_cache_.stats();
-    result.solver_stats.template_hits = t.hits - template_window_.hits;
-    result.solver_stats.template_misses = t.misses - template_window_.misses;
-    result.solver_stats.template_validation_failures =
-        t.validation_failures - template_window_.validation_failures;
-    template_window_ = t;
-  }
 
   const bool have_placements = pending_solve_.outcome == SolveOutcome::kOptimal ||
                                pending_solve_.outcome == SolveOutcome::kApproximate;

@@ -244,9 +244,6 @@ class FirmamentScheduler {
   bool check_integrity_ = false;
   bool enable_templates_ = false;
   PlacementTemplateCache template_cache_;
-  // Snapshot of the cache counters at the last ApplyRound; the delta since
-  // then is the round's template window (folded into solver_stats).
-  PlacementTemplateStats template_window_;
   std::unordered_map<JobId, PendingTemplate> pending_templates_;
   // Machines whose slots a template install consumed while a round was in
   // flight: the in-flight solve still believes those slots are free, so

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/base/timer.h"
 #include "src/core/flow_graph_manager.h"
 #include "src/flow/graph.h"
 #include "src/solvers/successive_shortest_path.h"
@@ -228,7 +227,6 @@ uint32_t FederationCoordinator::RouteJob(const std::vector<TaskDescriptor>& task
       best_headroom = headroom;
     }
   }
-  ++counters_.jobs_routed_by_load;
   return best;
 }
 
@@ -590,7 +588,6 @@ void FederationCoordinator::UpdateWaitAccounting(const std::vector<uint8_t>& ran
 }
 
 FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
-  WallTimer timer;
   FederationRoundResult result;
   result.cell_outcomes.assign(cells_.size(), SolveOutcome::kOptimal);
   ++round_seq_;
@@ -663,7 +660,6 @@ FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
   result.needs_followup = result.spills > 0 || result.rebalance_moves > 0 ||
                           result.merged.tasks_preempted > 0 || any_degraded ||
                           !pending_spills_.empty();
-  result.round_wall_us = timer.ElapsedMicros();
   return result;
 }
 

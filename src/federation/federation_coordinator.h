@@ -94,7 +94,6 @@ struct FederationCounters {
   uint64_t cell_rounds_run = 0;      // per-cell scheduling rounds executed
   uint64_t cell_rounds_skipped = 0;  // elided: cell was clean (no events, no waiting)
   uint64_t jobs_routed_by_locality = 0;
-  uint64_t jobs_routed_by_load = 0;
 };
 
 struct FederationRoundResult {
@@ -111,7 +110,6 @@ struct FederationRoundResult {
   // rebalance moved jobs, preemptions to re-place, or a degraded cell) —
   // the service loop schedules a follow-up round.
   bool needs_followup = false;
-  uint64_t round_wall_us = 0;
 };
 
 class FederationCoordinator {

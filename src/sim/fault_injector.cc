@@ -29,15 +29,4 @@ std::vector<FaultSpec> FaultInjector::Schedule(SimTime horizon) {
   return schedule;
 }
 
-SimTime FaultInjector::PickTimeIn(SimTime lo, SimTime hi) {
-  if (hi <= lo) {
-    return lo;
-  }
-  return lo + static_cast<SimTime>(rng_.NextUint64(static_cast<uint64_t>(hi - lo)));
-}
-
-SimTime FaultInjector::BackoffDelay(int attempt) const {
-  return CappedExponentialBackoff(params_.backoff_base_us, params_.backoff_cap_us, attempt);
-}
-
 }  // namespace firmament

@@ -2,12 +2,13 @@
 // "Fauxmaster" experiments under failures).
 //
 // The injector is a decision oracle, not an executor: it owns a forked
-// SplitMix64 stream and answers "when do faults happen" and "who dies",
-// while the simulator (or a test harness) executes the resulting cluster
-// events through the scheduler's idempotent event API. Keeping execution
-// out of the injector means the same seeded decision stream can drive the
-// discrete-event simulator, a trace-generator scenario, or a hand-rolled
-// test loop, and every run is reproducible from (seed, params).
+// SplitMix64 stream and answers "when do faults happen" and "who dies".
+// SyntheticTraceEmitter walks the decisions into MACHINE REMOVE and task
+// kill rows, and the replay drivers execute those rows through the
+// scheduler's idempotent event API (ReplayFeedback handles the backoff and
+// resubmit). Keeping execution out of the injector means the same seeded
+// decision stream can drive a trace scenario or a hand-rolled test loop,
+// and every run is reproducible from (seed, params).
 //
 // Fault sources:
 //  * Machine crashes: a Poisson process (machine_crash_rate per simulated
@@ -18,10 +19,6 @@
 //  * Task kills: an independent Poisson process. A killed task is removed
 //    and resubmitted as a fresh single-task job after a capped exponential
 //    backoff keyed to how many times its lineage has been killed.
-//  * Mid-round races: when a scheduling round starts, the harness asks
-//    RollMidRoundCrash(); on true it lands an extra crash strictly inside
-//    the StartRound..ApplyRound window, exercising the phase-split seam
-//    (deltas targeting the crashed machine must be dropped at apply time).
 #ifndef SRC_SIM_FAULT_INJECTOR_H_
 #define SRC_SIM_FAULT_INJECTOR_H_
 
@@ -42,9 +39,6 @@ struct FaultInjectorParams {
   // killing `storm_rack_fraction` of the alive machines in the victim's rack.
   double storm_probability = 0.1;
   double storm_rack_fraction = 0.5;
-  // Probability that a starting round gets an extra crash landed inside its
-  // StartRound..ApplyRound window (mid-round event race).
-  double mid_round_crash_probability = 0.0;
   // Kill-and-resubmit backoff: lineage attempt n waits
   // min(backoff_base_us * 2^(n-1), backoff_cap_us) before resubmission.
   SimTime backoff_base_us = 100'000;     // 100 ms
@@ -57,8 +51,7 @@ enum class FaultKind : uint8_t {
 };
 
 // Capped exponential backoff shared by every kill-and-resubmit path (the
-// injector, the synthetic trace emitter, the replay drivers' feedback
-// helper):
+// synthetic trace emitter and the replay drivers' feedback helper):
 // attempt n (>= 1) waits min(base * 2^(n-1), cap).
 inline SimTime CappedExponentialBackoff(SimTime base_us, SimTime cap_us, int attempt) {
   if (attempt < 1) {
@@ -86,27 +79,17 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  const FaultInjectorParams& params() const { return params_; }
-
   // The background fault timeline over [0, horizon): both Poisson streams,
   // merged in time order. Deterministic in (seed, params, horizon).
   std::vector<FaultSpec> Schedule(SimTime horizon);
 
   // Decision hooks. These consume the seeded stream, so the harness must
-  // call them in a deterministic order (the simulator calls them only from
-  // its single-threaded event loop).
+  // call them in a deterministic order (the emitter calls them only from
+  // its single-threaded event walk).
   bool RollStorm() { return rng_.NextBool(params_.storm_probability); }
-  bool RollMidRoundCrash() { return rng_.NextBool(params_.mid_round_crash_probability); }
   // Uniform pick of a victim among n candidates (candidates must be in a
   // deterministic order, e.g. sorted by id).
   size_t PickIndex(size_t n) { return static_cast<size_t>(rng_.NextUint64(n)); }
-  // Uniform time in [lo, hi); used to land a mid-round crash inside the
-  // in-flight window.
-  SimTime PickTimeIn(SimTime lo, SimTime hi);
-
-  // Resubmission delay for the lineage's attempt-th kill (attempt >= 1):
-  // capped exponential, min(base * 2^(attempt-1), cap).
-  SimTime BackoffDelay(int attempt) const;
 
  private:
   FaultInjectorParams params_;

@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "src/base/check.h"
@@ -110,8 +109,6 @@ void ClusterSimulator::HandleApplyRound() {
   metrics_.tasks_placed += result.tasks_placed;
   metrics_.tasks_preempted += result.tasks_preempted;
   metrics_.tasks_migrated += result.tasks_migrated;
-  metrics_.deltas_dropped += result.deltas_dropped;
-  metrics_.recovery_actions += result.recovery_actions.size();
   metrics_.graph_update_seconds.Add(static_cast<double>(result.graph_update_us) / 1e6);
 
   RoundLogEntry entry;
@@ -151,134 +148,10 @@ void ClusterSimulator::MaybeStartRound() {
   SimTime charged = std::max<SimTime>(
       1, static_cast<SimTime>(static_cast<double>(stats.runtime_us) * params_.solver_charge_scale));
   solver_busy_ = true;
-  if (fault_injector_ != nullptr && charged > 1 && fault_injector_->RollMidRoundCrash()) {
-    // Land a crash strictly inside the StartRound..ApplyRound window: the
-    // round's deltas targeting the victim must be dropped at apply time.
-    SimTime crash_at = fault_injector_->PickTimeIn(now + 1, now + charged);
-    fault_schedule_.push_back({crash_at, FaultKind::kMachineCrash});
-    Push(crash_at, EventKind::kFault, fault_schedule_.size() - 1);
-  }
   Push(now + charged, EventKind::kApplyRound);
 }
 
-void ClusterSimulator::CrashMachine(MachineId machine) {
-  // Completions pending for tasks running there are now invalid: the
-  // scheduler evicts the tasks back to waiting, and they restart on their
-  // next placement.
-  for (TaskId task : cluster_->RunningTasksOn(machine)) {
-    ++placement_epoch_[task];
-  }
-  // The locality store's replica drop rides the scheduler's on_removed
-  // callback: it must run after the policy's removal hook reads the store,
-  // and mid-round that hook is staged — the callback defers with it.
-  std::function<void()> on_removed;
-  if (block_store_ != nullptr) {
-    on_removed = [this, machine] { block_store_->OnMachineRemoved(machine); };
-  }
-  scheduler_->RemoveMachine(machine, clock_.Now(), std::move(on_removed));
-  ++metrics_.machines_crashed;
-}
-
-void ClusterSimulator::HandleFault(size_t index) {
-  const SimTime now = clock_.Now();
-  const FaultSpec spec = fault_schedule_[index];
-  if (spec.kind == FaultKind::kMachineCrash) {
-    std::vector<MachineId> alive;
-    for (const MachineDescriptor& machine : cluster_->machines()) {
-      if (machine.alive) {
-        alive.push_back(machine.id);
-      }
-    }
-    if (alive.empty()) {
-      return;  // nothing left to crash
-    }
-    MachineId victim = alive[fault_injector_->PickIndex(alive.size())];
-    if (fault_injector_->RollStorm()) {
-      // Rack-correlated storm: the victim drags a slice of its rack down
-      // with it (id order keeps the victim set deterministic).
-      ++metrics_.failure_storms;
-      std::vector<MachineId> rack_victims;
-      for (MachineId peer : cluster_->MachinesInRack(cluster_->RackOf(victim))) {
-        if (peer != victim && cluster_->machine(peer).alive) {
-          rack_victims.push_back(peer);
-        }
-      }
-      double fraction = fault_injector_->params().storm_rack_fraction;
-      size_t extra = static_cast<size_t>(fraction * static_cast<double>(rack_victims.size() + 1));
-      extra = std::min(extra, rack_victims.size());
-      CrashMachine(victim);
-      for (size_t i = 0; i < extra; ++i) {
-        CrashMachine(rack_victims[i]);
-      }
-    } else {
-      CrashMachine(victim);
-    }
-    pending_work_ = true;
-    return;
-  }
-  // FaultKind::kTaskKill: kill-and-resubmit of one running task. The current
-  // attempt is torn down entirely (the task id disappears) and a fresh
-  // single-task job re-enters after the lineage's capped exponential backoff.
-  std::vector<TaskId> running;
-  for (TaskId task : cluster_->LiveTasks()) {
-    if (cluster_->task(task).state == TaskState::kRunning) {
-      running.push_back(task);
-    }
-  }
-  if (running.empty()) {
-    return;
-  }
-  std::sort(running.begin(), running.end());  // deterministic victim pick
-  TaskId victim = running[fault_injector_->PickIndex(running.size())];
-  const TaskDescriptor& desc = cluster_->task(victim);
-  ResubmitSpec resubmit;
-  resubmit.runtime = desc.runtime;
-  resubmit.input_bytes = desc.input_size_bytes;
-  resubmit.bandwidth_mbps = desc.bandwidth_request_mbps;
-  auto kills_it = kill_counts_.find(victim);
-  resubmit.attempt = kills_it != kill_counts_.end() ? kills_it->second + 1 : 1;
-  if (kills_it != kill_counts_.end()) {
-    kill_counts_.erase(kills_it);
-  }
-  placement_epoch_.erase(victim);  // drop the pending completion
-  scheduler_->CompleteTask(victim, now);
-  resubmits_.push_back(resubmit);
-  ++metrics_.tasks_killed;
-  Push(now + fault_injector_->BackoffDelay(resubmit.attempt), EventKind::kFaultResubmit,
-       resubmits_.size() - 1);
-}
-
-void ClusterSimulator::HandleFaultResubmit(size_t index) {
-  const SimTime now = clock_.Now();
-  const ResubmitSpec& spec = resubmits_[index];
-  TaskDescriptor task;
-  task.runtime = spec.runtime;
-  task.input_size_bytes = spec.input_bytes;
-  task.bandwidth_request_mbps = spec.bandwidth_mbps;
-  if (block_store_ != nullptr && spec.input_bytes > 0) {
-    task.input_blocks = block_store_->AllocateInput(spec.input_bytes);
-  }
-  std::vector<TaskDescriptor> tasks;
-  tasks.push_back(std::move(task));
-  JobId job = scheduler_->SubmitJob(JobType::kBatch, 0, std::move(tasks), now);
-  JobTracking tracking;
-  tracking.submit = now;
-  tracking.remaining = 1;
-  tracking.type = JobType::kBatch;
-  job_tracking_.emplace(job, tracking);
-  TaskId reincarnation = cluster_->job(job).tasks.back();
-  kill_counts_[reincarnation] = spec.attempt;  // the lineage remembers
-  ++metrics_.tasks_resubmitted;
-  pending_work_ = true;
-}
-
 SimulationMetrics ClusterSimulator::Run() {
-  if (fault_injector_ != nullptr) {
-    fault_schedule_ = fault_injector_->Schedule(params_.duration);
-    for (size_t i = 0; i < fault_schedule_.size(); ++i) {
-      Push(fault_schedule_[i].time, EventKind::kFault, i);
-    }
-  }
   while (!events_.empty()) {
     Event event = events_.top();
     events_.pop();
@@ -302,22 +175,10 @@ SimulationMetrics ClusterSimulator::Run() {
         timer_scheduled_ = false;
         MaybeStartRound();
         break;
-      case EventKind::kFault:
-        HandleFault(event.payload);
-        MaybeStartRound();
-        break;
-      case EventKind::kFaultResubmit:
-        HandleFaultResubmit(event.payload);
-        MaybeStartRound();
-        break;
     }
   }
   metrics_.placement_latency_seconds = scheduler_->placement_latency();
   metrics_.algorithm_runtime_seconds = scheduler_->algorithm_runtime();
-  const PlacementTemplateStats& tstats = scheduler_->template_stats();
-  metrics_.template_hits = tstats.hits;
-  metrics_.template_misses = tstats.misses;
-  metrics_.template_validation_failures = tstats.validation_failures;
   return metrics_;
 }
 

@@ -20,7 +20,6 @@
 #include "src/base/service_clock.h"
 #include "src/core/scheduler.h"
 #include "src/sim/block_store.h"
-#include "src/sim/fault_injector.h"
 #include "src/sim/trace_generator.h"
 
 namespace firmament {
@@ -57,19 +56,6 @@ struct SimulationMetrics {
   size_t tasks_preempted = 0;
   size_t tasks_migrated = 0;
   size_t rounds = 0;
-  // Fault-injection accounting (zero unless a FaultInjector is attached).
-  size_t machines_crashed = 0;
-  size_t failure_storms = 0;
-  size_t tasks_killed = 0;
-  size_t tasks_resubmitted = 0;
-  size_t deltas_dropped = 0;  // mid-round machine deaths invalidating deltas
-  size_t recovery_actions = 0;
-  // Placement-template fast path (cumulative from the scheduler's cache;
-  // zero unless FirmamentSchedulerOptions::enable_templates). A hit installs
-  // the whole job at submit time without a scheduling round.
-  uint64_t template_hits = 0;
-  uint64_t template_misses = 0;
-  uint64_t template_validation_failures = 0;
   std::vector<RoundLogEntry> round_log;
 };
 
@@ -86,11 +72,6 @@ class ClusterSimulator {
   // Loads job arrivals (must be called before Run).
   void LoadTrace(std::vector<TraceJobSpec> jobs);
 
-  // Attaches a fault injector (must be called before Run; optional). The
-  // injector's background schedule is materialized over the simulation
-  // duration at Run() start; mid-round crashes are rolled per round.
-  void SetFaultInjector(FaultInjector* injector) { fault_injector_ = injector; }
-
   // Runs the simulation to completion and returns the collected metrics.
   SimulationMetrics Run();
 
@@ -106,8 +87,6 @@ class ClusterSimulator {
     kRoundTimer = 1,
     kTaskCompletion = 2,
     kJobArrival = 3,
-    kFault = 4,          // payload = index into fault_schedule_
-    kFaultResubmit = 5,  // payload = index into resubmits_
   };
   struct Event {
     SimTime time = 0;
@@ -132,9 +111,6 @@ class ClusterSimulator {
   void HandleCompletion(TaskId task, uint64_t epoch);
   void HandleApplyRound();
   void MaybeStartRound();
-  void HandleFault(size_t index);
-  void HandleFaultResubmit(size_t index);
-  void CrashMachine(MachineId machine);
 
   FirmamentScheduler* scheduler_;
   ClusterState* cluster_;
@@ -151,20 +127,6 @@ class ClusterSimulator {
   SimTime last_round_start_ = 0;
   bool any_round_started_ = false;
   SimTime round_start_time_ = 0;
-
-  // Fault injection (optional). A killed task's lineage is resubmitted as a
-  // fresh single-task job after a capped exponential backoff; kill_counts_
-  // carries the lineage's kill count onto the resubmitted TaskId.
-  FaultInjector* fault_injector_ = nullptr;
-  std::vector<FaultSpec> fault_schedule_;
-  struct ResubmitSpec {
-    SimTime runtime = 0;
-    int64_t input_bytes = 0;
-    int64_t bandwidth_mbps = 0;
-    int attempt = 1;  // kills suffered by the lineage so far
-  };
-  std::vector<ResubmitSpec> resubmits_;
-  std::unordered_map<TaskId, int> kill_counts_;
 
   std::unordered_map<TaskId, uint64_t> placement_epoch_;
   struct JobTracking {

@@ -111,11 +111,4 @@ std::vector<TraceJobSpec> TraceGenerator::Generate(SimTime horizon) {
   return jobs;
 }
 
-std::vector<TraceJobSpec> TraceGenerator::Generate(SimTime horizon, FaultInjector* injector,
-                                                   std::vector<FaultSpec>* faults) {
-  std::vector<TraceJobSpec> jobs = Generate(horizon);
-  *faults = injector->Schedule(horizon);
-  return jobs;
-}
-
 }  // namespace firmament

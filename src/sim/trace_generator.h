@@ -24,7 +24,6 @@
 
 #include "src/base/rng.h"
 #include "src/core/types.h"
-#include "src/sim/fault_injector.h"
 
 namespace firmament {
 
@@ -69,13 +68,6 @@ class TraceGenerator {
   // first (at t=0, filling their share of the cluster); batch jobs follow a
   // Poisson process.
   std::vector<TraceJobSpec> Generate(SimTime horizon);
-
-  // Fault-scenario variant: generates the same workload AND materializes the
-  // injector's deterministic fault timeline over the same horizon into
-  // `faults`. For harnesses that replay traces without ClusterSimulator
-  // (which schedules the timeline itself via SetFaultInjector).
-  std::vector<TraceJobSpec> Generate(SimTime horizon, FaultInjector* injector,
-                                     std::vector<FaultSpec>* faults);
 
   // The derived batch job arrival rate (jobs/second), for reporting.
   double batch_jobs_per_second() const { return batch_jobs_per_second_; }

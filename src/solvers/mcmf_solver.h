@@ -106,13 +106,6 @@ struct SolveStats {
   bool deadline_exceeded = false;
   int64_t budget_slack_us = 0;
   std::string algorithm;
-  // Placement-template traffic attributed to the round (installs bypass the
-  // solver entirely, so the scheduler folds the window's counters into the
-  // round result here; see FirmamentScheduler::template_stats for
-  // cumulative totals).
-  uint64_t template_hits = 0;
-  uint64_t template_misses = 0;
-  uint64_t template_validation_failures = 0;
 
   bool optimal() const { return outcome == SolveOutcome::kOptimal; }
 };

@@ -54,11 +54,12 @@ std::vector<TraceEvent> SyntheticTraceEmitter::Emit() {
   counts_ = SyntheticTraceCounts{};
   std::vector<TraceEvent> events;
 
+  // The generator and the injector own separate seeded streams, so the
+  // workload and the fault timeline are independent of each other.
   TraceGenerator generator(params_.workload);
+  std::vector<TraceJobSpec> jobs = generator.Generate(params_.horizon);
   FaultInjector injector(params_.faults);
-  std::vector<FaultSpec> faults;
-  std::vector<TraceJobSpec> jobs =
-      generator.Generate(params_.horizon, &injector, &faults);
+  std::vector<FaultSpec> faults = injector.Schedule(params_.horizon);
 
   // Emitter-local randomness (late-add times, capacity mix) forks off the
   // workload seed so it never perturbs the generator/injector streams.

@@ -36,9 +36,11 @@
 
 namespace firmament {
 
-// Resource-request encoding shared with the replay driver: the trace
-// normalizes requests to [0, 1] of a full machine, so the emitter divides by
-// these full-machine scales and the driver multiplies back.
+// Resource-request encoding shared with the replay drivers (TraceReplayDriver
+// and the virtual-time benchmark driver): the trace normalizes requests to
+// [0, 1] of a full machine, so the emitter divides by these full-machine
+// scales and the drivers multiply back. The drivers also give a capacity-c
+// machine c * kTraceFullMachineBandwidthMbps of NIC.
 constexpr double kTraceFullMachineBandwidthMbps = 10'000.0;  // 10 Gbps NIC
 constexpr double kTraceFullMachineInputBytes = 16e9;
 

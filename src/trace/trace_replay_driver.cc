@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/base/check.h"
+#include "src/trace/synthetic_trace.h"
 
 namespace firmament {
 
@@ -93,7 +94,6 @@ void TraceReplayDriver::ActivatePlacementLocked(uint64_t key, Lineage& lineage,
     lineage.pending_kill = false;
     CHECK_GT(drain_obligations_, 0u);
     --drain_obligations_;
-    ++report_.deferred_kills;
     KillPlacedLocked(key, lineage, now);
     return;
   }
@@ -131,7 +131,6 @@ void TraceReplayDriver::SubmitLineages(JobType type, int32_t priority,
   // keeps OnAdmitted from running before the keys are parked.
   std::unique_lock<std::mutex> lock(mutex_);
   uint64_t seq = service_->Submit(type, priority, std::move(tasks));
-  ++report_.service_submit_calls;
   pending_admissions_.emplace(seq, std::move(keys));
 }
 
@@ -150,6 +149,11 @@ void TraceReplayDriver::HandleTaskEvent(const TraceEvent& event) {
   const uint64_t key = Key(event.job_id, event.task_index);
   switch (event.code) {
     case kTaskSubmit: {
+      TaskDescriptor task;
+      task.input_size_bytes =
+          static_cast<int64_t>(event.ram_request * kTraceFullMachineInputBytes);
+      task.bandwidth_request_mbps =
+          static_cast<int64_t>(event.cpu_request * kTraceFullMachineBandwidthMbps);
       bool fresh = false;
       {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -157,10 +161,8 @@ void TraceReplayDriver::HandleTaskEvent(const TraceEvent& event) {
           Lineage lineage;
           lineage.type = event.scheduling_class >= 3 ? JobType::kService : JobType::kBatch;
           lineage.priority = event.priority;
-          lineage.input_bytes =
-              static_cast<int64_t>(event.ram_request * options_.input_bytes_scale);
-          lineage.bandwidth_mbps =
-              static_cast<int64_t>(event.cpu_request * options_.bandwidth_scale_mbps);
+          lineage.input_bytes = task.input_size_bytes;
+          lineage.bandwidth_mbps = task.bandwidth_request_mbps;
           lineages_.emplace(key, lineage);
           fresh = true;
         }
@@ -181,11 +183,6 @@ void TraceReplayDriver::HandleTaskEvent(const TraceEvent& event) {
         batch_.type = event.scheduling_class >= 3 ? JobType::kService : JobType::kBatch;
         batch_.priority = event.priority;
       }
-      TaskDescriptor task;
-      task.input_size_bytes =
-          static_cast<int64_t>(event.ram_request * options_.input_bytes_scale);
-      task.bandwidth_request_mbps =
-          static_cast<int64_t>(event.cpu_request * options_.bandwidth_scale_mbps);
       batch_.tasks.push_back(task);
       batch_.keys.push_back(key);
       return;
@@ -276,8 +273,7 @@ void TraceReplayDriver::HandleMachineEvent(const TraceEvent& event) {
                  event.cpu_capacity * options_.slots_at_full_capacity)));
       spec.nic_bandwidth_mbps = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
-                 event.cpu_capacity *
-                 static_cast<double>(options_.full_machine_bandwidth_mbps))));
+                 event.cpu_capacity * kTraceFullMachineBandwidthMbps)));
       // Blocks until the loop mints the id; racks are service-managed (the
       // trace has no topology).
       MachineId id = service_->AddMachine(kInvalidRackId, spec);

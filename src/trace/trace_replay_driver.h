@@ -60,12 +60,9 @@ struct TraceReplayOptions {
   SimTime horizon = 0;
   // Machine scaling: trace capacities are normalized [0, 1] of a full
   // machine; a capacity-c machine gets max(1, round(c * slots)) slots and
-  // c * bandwidth of NIC.
+  // c * kTraceFullMachineBandwidthMbps of NIC. Task requests decode with
+  // the same full-machine scales (synthetic_trace.h).
   int slots_at_full_capacity = 12;
-  int64_t full_machine_bandwidth_mbps = 10'000;
-  // Request decoding (inverse of the synthetic emitter's encoding).
-  double input_bytes_scale = 16e9;
-  double bandwidth_scale_mbps = 10'000.0;
   // Kill-and-resubmit backoff for lineage attempt n: min(base*2^(n-1), cap).
   SimTime backoff_base_us = 100'000;
   SimTime backoff_cap_us = 10'000'000;
@@ -97,10 +94,8 @@ struct TraceReplayReport {
   uint64_t beyond_horizon = 0;
 
   // Derived activity (not part of the accounting identity).
-  uint64_t service_submit_calls = 0;
   uint64_t tasks_resubmitted = 0;
   uint64_t completions_delivered = 0;
-  uint64_t deferred_kills = 0;  // kills that waited for the lineage's placement
   bool drain_timed_out = false;
 
   // Sum of the per-event buckets; the zero-event-loss identity is

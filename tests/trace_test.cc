@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/service_clock.h"
+#include "src/core/integrity_checker.h"
 #include "src/core/load_spreading_policy.h"
 #include "src/core/scheduler.h"
 #include "src/service/scheduler_service.h"
@@ -274,6 +275,10 @@ struct ReplayRun {
   TraceParseStats parse;  // zero for kEmitted (nothing parsed)
   uint64_t source_events = 0;  // events the source handed to the driver
   size_t live_lineages = 0;
+  // End state after Stop(): running tasks left on dead machines, and the
+  // cross-layer integrity audit.
+  size_t running_on_dead_machines = 0;
+  IntegrityReport integrity;
 };
 
 ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& tag,
@@ -329,6 +334,13 @@ ReplayRun RunSmallReplay(const SyntheticTraceParams& params, const std::string& 
   service.Stop();
   run.counters = service.counters();
   run.live_lineages = driver.live_lineages();
+  for (TaskId task : cluster.LiveTasks()) {
+    const TaskDescriptor& desc = cluster.task(task);
+    if (desc.state == TaskState::kRunning && !cluster.machine(desc.machine).alive) {
+      ++run.running_on_dead_machines;
+    }
+  }
+  run.integrity = IntegrityChecker(&cluster, &scheduler.graph_manager()).Check();
   return run;
 }
 
@@ -395,6 +407,11 @@ TEST(TraceReplayTest, FaultStormReplayStaysAccounted) {
     // resubmission (delivered unless its lineage row never re-placed).
     EXPECT_GT(run.report.tasks_resubmitted, 0u);
     EXPECT_EQ(run.report.tasks_resubmitted, run.report.kills);
+    // Coherent end state despite the crashes, storms and kills.
+    EXPECT_EQ(run.running_on_dead_machines, 0u);
+    EXPECT_TRUE(run.integrity.clean())
+        << run.integrity.violations.size() << " violations, first: "
+        << (run.integrity.violations.empty() ? "" : run.integrity.violations.front());
   }
 }
 
