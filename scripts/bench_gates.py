@@ -26,6 +26,7 @@ BENCHES = {
               "fig07/(cost_scaling_a2|relaxation|cycle_canceling)/(50|150)/"),
     "fig11": ("fig11_incremental", None),
     "fig14": ("fig14_placement_latency", "fig14/templated_recurring"),
+    "fig16": ("fig16_demanding", "fig16/(firmament|relaxation_only)"),
     "fig20": ("fig20_service_throughput", None),
     "fig21": ("fig21_trace_replay", None),
     "fig22": ("fig22_federation", None),
@@ -37,6 +38,10 @@ BENCHES = {
 DIFF_ABS_MS = 0.25
 FLOOR_MS = 0.2
 UNIT_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+# fig16 `firmament` max_round_s bar, in seconds: set between the race's and
+# relaxation_only's medians over 5 runs of the parent commit on 4 vCPUs.
+FIG16_MAX_ROUND_S = 1.1
 
 OPS = {
     ">=": lambda a, b: a >= b,
@@ -98,6 +103,12 @@ GATES = [
          "recurring-job placement latency (Fig. 14) vs the committed baseline"),
     Gate("fig14", r"fig14/templated_recurring", "template_speedup", ">=", 10.0, None, 3,
          "placement templates must beat the solver path by >= 10x per job"),
+    # Fig. 16: under oversubscription the race's longest round is bounded by
+    # cost scaling, while relaxation alone spirals (~1.6 s at small scale).
+    # The bar sits between the two, so a race that stops starting its
+    # cost-scaling leg in time fails it. fig16 has no committed baseline.
+    Gate("fig16", r"fig16/firmament", "max_round_s", "<=", FIG16_MAX_ROUND_S, None, 3,
+         "the race's longest oversubscribed round must stay bounded by cost scaling"),
     # Replay wall time is dominated by trace pacing, so it diffs well; the
     # ~10 ms parse shot is gated on `dropped` instead.
     Gate("fig21", r"fig21/replay/", "real_time", "diff", 0.2, None, 3,

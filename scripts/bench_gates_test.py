@@ -24,6 +24,8 @@ NAMES = [
     "fig11/graph_update_burst/850/quincy/iterations:8/manual_time",
     "fig11/removal_dirty/850/quincy/iterations:6/manual_time",
     "fig14/templated_recurring/iterations:1",
+    "fig16/firmament/0/iterations:1/manual_time",
+    "fig16/relaxation_only/1/iterations:1/manual_time",
     "fig20/open_loop/batch_latency_us:0/0/iterations:1/manual_time",
     "fig20/open_loop/batch_latency_us:2000/2000/iterations:1/manual_time",
     "fig20/open_loop/batch_latency_us:20000/20000/iterations:1/manual_time",
@@ -136,6 +138,19 @@ class Diff(unittest.TestCase):
     def test_summary_rows_get_no_diff(self):
         fig22 = next(g for g in bg.GATES if g.fig == "fig22" and g.op == "diff")
         self.assertIsNone(bg.re.search(fig22.series, "fig22/summary"))
+
+
+class Fig16(unittest.TestCase):
+    gate = next(g for g in bg.GATES if g.fig == "fig16")
+
+    def test_only_the_race_is_gated(self):
+        # relaxation_only runs for comparison and sits far above the bar.
+        docs = [doc(self.gate, self.gate.threshold - 0.01) for _ in range(3)]
+        for d in docs:
+            next(r for r in d["benchmarks"] if "relaxation_only" in r["name"])["max_round_s"] = 1.67
+        self.assertEqual(bg.check(self.gate, docs, {"benchmarks": []}, 4)[0], [])
+        docs = [doc(self.gate, self.gate.threshold + 0.01) for _ in range(3)]
+        self.assertTrue(bg.check(self.gate, docs, {"benchmarks": []}, 4)[0])
 
 
 class CpuCondition(unittest.TestCase):

@@ -82,10 +82,14 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   # federated service runs multi-producer submits against the coordinator's
   # loop thread (federation_test) — TSan is what proves the "pure reader"
   # and producers-vs-loop threading contracts rather than trusting them.
+  # The race's stagger handshake (the cost-scaling leg sleeps on a condvar
+  # until relaxation finishes or runs late) and the price refine job that
+  # outlives its round run in solvers_test, solver_stress_test and
+  # flow_view_incremental_test.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DFIRMAMENT_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'policy_delta_test|scheduler_integration_test|service_test|trace_test|placement_template_test|federation_test'
+    -R 'policy_delta_test|scheduler_integration_test|service_test|trace_test|placement_template_test|federation_test|solvers_test|solver_stress_test|flow_view_incremental_test'
 fi
 
 # Bench gates: unit-test the gate evaluator, then run every gated bench in a

@@ -68,33 +68,54 @@ void CostScaling::ResetState() {
 }
 
 SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<bool>* cancel) {
+  SolveStats stats = SyncView(network);
+  SolveSynced(cancel, &stats);
+  return stats;
+}
+
+SolveStats CostScaling::SyncView(const FlowNetwork& network) {
   WallTimer timer;
   SolveStats stats;
   stats.algorithm = name();
   stats.view_prep = view_.Prepare(network);
-  FlowNetworkView& view = view_;
   if (options_.incremental && stats.view_prep == FlowNetworkView::PrepareResult::kPatched) {
     // Warm start from the network's current flow — the previous round's
     // winning solution, which the patch path does not track arc-by-arc
     // (a rebuild just snapshotted it).
-    view.SyncFlowFrom(network);
+    view_.SyncFlowFrom(network);
   }
   stats.view_prep_us = timer.ElapsedMicros();
+  return stats;
+}
+
+void CostScaling::SolveSynced(const std::atomic<bool>* cancel, SolveStats* out) {
+  WallTimer timer;
+  SolveStats& stats = *out;
+  FlowNetworkView& view = view_;
+  // runtime_us covers the view sync too, as one SolveView() call would.
+  auto elapsed_us = [&] { return stats.view_prep_us + timer.ElapsedMicros(); };
   // The prologue below is a handful of O(n + m) passes with no discharge
   // polls; under a tight solve budget a cold view build alone can eat the
-  // whole allowance. Bail to kDegraded between passes rather than paying
-  // for work the deadline already invalidated. State stays consistent for
-  // the next round: the view is prepared (journal consumed), retained
-  // potentials are untouched.
-  auto degraded_early = [&](SolveStats* out) {
-    out->outcome = SolveOutcome::kDegraded;
-    out->deadline_exceeded = true;
-    out->flow_valid = false;
-    out->runtime_us = timer.ElapsedMicros();
+  // whole allowance, and in the race the other leg may already have won.
+  // Bail between passes (kCancelled, else kDegraded) rather than paying for
+  // work nobody will use. State stays consistent for the next round: the
+  // view is prepared (journal consumed), and the retained potentials, the
+  // scale and any pending import are only committed past the last poll.
+  auto bail_early = [&]() -> bool {
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      stats.outcome = SolveOutcome::kCancelled;
+    } else if (DeadlineExpired()) {
+      stats.outcome = SolveOutcome::kDegraded;
+      stats.deadline_exceeded = true;
+    } else {
+      return false;
+    }
+    stats.flow_valid = false;
+    stats.runtime_us = elapsed_us();
+    return true;
   };
-  if (DeadlineExpired()) {
-    degraded_early(&stats);
-    return stats;
+  if (bail_early()) {
+    return;
   }
   const uint32_t n = view.num_nodes();
   const int64_t scale = CostScaleFor(n);
@@ -120,8 +141,6 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     for (auto& p : pi_) {
       p *= scale;
     }
-    pending_import_.clear();
-    has_pending_import_ = false;
   } else if (options_.incremental && scale_ != 0) {
     view.GatherPotentials(potential_, &pi_);
     if (scale_ != scale) {
@@ -135,7 +154,6 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   } else {
     pi_.assign(n, 0);
   }
-  scale_ = scale;
   if (!options_.incremental) {
     view.ClearFlow();
   } else {
@@ -145,6 +163,9 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
         view.SetFlow(a, view.Capacity(a));
       }
     }
+  }
+  if (bail_early()) {
+    return;
   }
   // All refine-phase work runs on the packed residual star with pre-scaled
   // costs: one cache line per probed residual arc instead of scattered SoA
@@ -164,9 +185,8 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   }
 
   // --- Choose the starting ε -----------------------------------------------
-  if (DeadlineExpired()) {
-    degraded_early(&stats);
-    return stats;
+  if (bail_early()) {
+    return;
   }
   const int64_t max_eps = std::max<int64_t>(1, max_cost * scale);
   int64_t eps0;
@@ -195,19 +215,24 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     if (violated <= n / 16) {
       // Few violations: the retained landscape is close; repair in place.
       eps0 = std::max<int64_t>(1, std::min(violation, scale));
-    } else if (TryProveOptimal(view, &repriced, /*relax_bound=*/8)) {
-      for (uint32_t v = 0; v < n; ++v) {
-        pi_[v] = repriced[v] * scale;
-      }
-      // The repriced landscape has ~zero violation by construction, but the
-      // new excess may displace existing flow (contention chains); starting
-      // ε well above 1 keeps those relabels coarse instead of grinding
-      // upwards one unit at a time.
-      eps0 = scale / 16;
     } else {
-      pi_.assign(n, 0);
-      eps0 = std::min(max_eps, scale);
-      warm_refine = false;
+      if (bail_early()) {
+        return;
+      }
+      if (TryProveOptimal(view, &repriced, /*relax_bound=*/8)) {
+        for (uint32_t v = 0; v < n; ++v) {
+          pi_[v] = repriced[v] * scale;
+        }
+        // The repriced landscape has ~zero violation by construction, but
+        // the new excess may displace existing flow (contention chains);
+        // starting ε well above 1 keeps those relabels coarse instead of
+        // grinding upwards one unit at a time.
+        eps0 = scale / 16;
+      } else {
+        pi_.assign(n, 0);
+        eps0 = std::min(max_eps, scale);
+        warm_refine = false;
+      }
     }
   } else {
     // Jump start: ε₀ = scale means the first refine already produces a flow
@@ -221,6 +246,13 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     // this choice.
     eps0 = std::min(max_eps, scale);
   }
+  if (bail_early()) {
+    return;
+  }
+  // Past the prologue's last poll: the warm-start inputs are now consumed.
+  has_pending_import_ = false;
+  pending_import_.clear();
+  scale_ = scale;
 
   // Saves current potentials before returning. Successful paths sync the
   // view's flow from the star before reaching here; flow_valid tells the
@@ -229,7 +261,7 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     view.ScatterPotentials(pi_, &potential_);
     out->flow_valid =
         out->outcome == SolveOutcome::kOptimal || out->outcome == SolveOutcome::kApproximate;
-    out->runtime_us = timer.ElapsedMicros();
+    out->runtime_us = elapsed_us();
   };
 
   // --- Scaling loop ----------------------------------------------------------
@@ -266,7 +298,7 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     warm_budget = 0;
     if (result == RefineResult::kCancelled) {
       finish(&stats);
-      return stats;
+      return;
     }
     if (result == RefineResult::kDeadline) {
       // The round's solve budget expired mid-refine: the star holds a
@@ -276,13 +308,13 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
       stats.outcome = SolveOutcome::kDegraded;
       stats.deadline_exceeded = true;
       finish(&stats);
-      return stats;
+      return;
     }
     if (result == RefineResult::kNoPath ||
         (result == RefineResult::kStuck && eps >= max_eps)) {
       stats.outcome = SolveOutcome::kInfeasible;
       finish(&stats);
-      return stats;
+      return;
     }
     if (result == RefineResult::kStuck) {
       // ε was too small for the contention around the changed region;
@@ -294,7 +326,7 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
     }
     descending = true;
     ++stats.phases;
-    if (options_.time_budget_us != 0 && timer.ElapsedMicros() > options_.time_budget_us &&
+    if (options_.time_budget_us != 0 && elapsed_us() > options_.time_budget_us &&
         eps > 1) {
       stats.outcome = SolveOutcome::kApproximate;
       break;
@@ -327,7 +359,6 @@ SolveStats CostScaling::SolveView(const FlowNetwork& network, const std::atomic<
   view.SyncFlowFromStar(star_);
   stats.total_cost = view.TotalCost();
   finish(&stats);
-  return stats;
 }
 
 void CostScaling::GlobalPriceUpdate(const FlowNetworkView& view, int64_t eps) {
@@ -492,6 +523,12 @@ CostScaling::RefineResult CostScaling::Refine(FlowNetworkView* view_ptr, int64_t
   };
 
   if (price_update_first && !fifo.empty()) {
+    // The saturation pass above and this Dial pass are each O(m), with no
+    // discharge poll in between; a race leg that already lost stops here.
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      stats->outcome = SolveOutcome::kCancelled;
+      return RefineResult::kCancelled;
+    }
     GlobalPriceUpdate(view, eps);
   }
 

@@ -48,8 +48,16 @@ class CostScaling : public McmfSolver {
  public:
   explicit CostScaling(CostScalingOptions options = {}) : options_(options) {}
 
+  // SyncView() followed by SolveSynced().
   SolveStats SolveView(const FlowNetwork& network,
                        const std::atomic<bool>* cancel = nullptr) override;
+  // The two halves of SolveView, for the race's staggered leg: SyncView()
+  // brings the persistent view up to date with the network (journal patch or
+  // rebuild, plus the warm-start flow sync) and returns stats carrying only
+  // the view-prep fields; SolveSynced() then solves on the synced view and
+  // completes those stats. The network may not change in between.
+  SolveStats SyncView(const FlowNetwork& network);
+  void SolveSynced(const std::atomic<bool>* cancel, SolveStats* stats);
   std::string name() const override {
     return options_.incremental ? "incremental_cost_scaling" : "cost_scaling";
   }
@@ -58,7 +66,9 @@ class CostScaling : public McmfSolver {
 
   // Installs externally computed (unscaled) potentials, keyed by original
   // NodeId, to warm-start the next Solve() — used for the relaxation ->
-  // cost scaling handoff after price refine (§6.2). Takes effect once.
+  // cost scaling handoff after price refine (§6.2). Takes effect once: the
+  // first solve that gets past the prologue consumes it (a solve cancelled
+  // or degraded before its first refine phase leaves it pending).
   void ImportPotentials(std::vector<int64_t> unscaled_potentials);
 
   // Drops all retained state; the next Solve() runs from scratch even in

@@ -3,12 +3,21 @@
 //
 // In the common case relaxation wins (§4.2); under oversubscription or large
 // arriving jobs (§4.3) incremental cost scaling finishes first and bounds
-// the placement latency (Fig. 16). Running both is cheap — the algorithms
-// are single-threaded — and avoids a brittle choice heuristic (§6.1).
+// the placement latency (Fig. 16). Racing avoids a brittle choice heuristic
+// (§6.1), but the second leg is not free: it competes for cores with the
+// rest of the control plane, and joining it when it loses sits on the
+// round's critical path. So the race is staggered. Relaxation starts at once
+// on the calling thread; the cost-scaling leg syncs its view alongside, then
+// waits until relaxation has run longer than the p90 of its recent solves,
+// or starts at once when the round's journal signals contention (a large
+// arrival or churn burst) or too few samples exist yet. If relaxation
+// finishes first, the waiting leg never solves at all.
 //
 // State handoff (§6.2): when relaxation wins, price refine recomputes
 // reduced potentials from its solution so the next incremental cost scaling
-// run warm-starts cheaply (Fig. 13 shows 4x).
+// run warm-starts cheaply (Fig. 13 shows 4x). Refine does not change the
+// round's placements, so it runs after the round returns, as a job on the
+// cost-scaling worker; the next round joins it before touching either view.
 //
 // Race isolation (§6.2 incremental contract): both algorithms race on their
 // own *persistent* FlowNetworkViews of the one canonical (const) network —
@@ -16,7 +25,7 @@
 // network being copy-constructed per algorithm per round — and the winner's
 // view writes its flow back. This class is the journal's canonical
 // consumer: Solve() clears the network's change log once every algorithm's
-// view has synced past it.
+// view has synced past it, including a staggered leg that never solved.
 
 #ifndef SRC_SOLVERS_RACING_SOLVER_H_
 #define SRC_SOLVERS_RACING_SOLVER_H_
@@ -56,11 +65,25 @@ struct RacingSolverOptions {
 };
 
 struct RoundStats {
+  // Sentinel for cost_scaling_start_us: the leg synced its view but never
+  // solved, because relaxation finished before any trigger fired.
+  static constexpr uint64_t kNotStarted = UINT64_MAX;
+
   SolveStats winner;
   std::string winner_algorithm;
-  // Per-algorithm stats for the round; losers report kCancelled.
+  // Per-algorithm stats for the round; losers report kCancelled. A
+  // cost-scaling leg that never started reports 0 iterations and its view
+  // sync in view_prep / view_prep_us.
   SolveStats relaxation;
   SolveStats cost_scaling;
+  // kRace only (other modes leave kNotStarted): when the race released the
+  // cost-scaling leg to solve, in microseconds from the race's start: 0 when a trigger released it up front (journal
+  // contention or a short relaxation history), otherwise the moment
+  // relaxation ran past its deadline; kNotStarted if it never solved.
+  uint64_t cost_scaling_start_us = kNotStarted;
+  // Time this round waited for the previous round's price refine to finish
+  // before the race could start (its critical-path share; the refine
+  // itself runs between rounds).
   uint64_t price_refine_us = 0;
 };
 
@@ -70,6 +93,8 @@ class RacingSolver {
 
   RacingSolver(const RacingSolver&) = delete;
   RacingSolver& operator=(const RacingSolver&) = delete;
+  // Joins any in-flight async solve and price refine.
+  ~RacingSolver();
 
   // Solves the canonical network in place: on return, the network carries
   // the winner's optimal flow and its change log is cleared. Subsequent
@@ -99,10 +124,11 @@ class RacingSolver {
   // without rebuilding the scheduler stack.
   void set_solve_budget_us(uint64_t budget_us) { options_.solve_budget_us = budget_us; }
 
-  // Drops warm state (e.g. when switching workloads in benchmarks).
+  // Drops warm state (e.g. when switching workloads in benchmarks), after
+  // joining the previous round's price refine.
   void ResetState();
 
-  // Threads ever spawned for the race's cost-scaling leg — a *monotonic*
+  // Threads ever spawned for the race's worker (cost-scaling leg and refine) — a *monotonic*
   // counter, so a regression back to per-round workers (recreating the
   // pool each Solve) shows up as a number that grows with rounds, not as a
   // constant 1. The persistent worker keeps it at 1 no matter how many
@@ -112,16 +138,32 @@ class RacingSolver {
 
  private:
   SolveStats SolveRace(FlowNetwork* network);
+  // Waits for the previous round's price refine job, if one is in flight,
+  // and returns the microseconds spent waiting.
+  uint64_t JoinRefine();
+  // How long the cost-scaling leg waits for relaxation this round, or 0 to
+  // start it at once (see the thresholds in racing_solver.cc).
+  uint64_t CostScalingDelayUs(const FlowNetwork& network);
 
   RacingSolverOptions options_;
   // Default options: arc prioritization on, from scratch each round (§6.2).
   Relaxation relaxation_;
   CostScaling cost_scaling_;
   RoundStats last_round_;
-  // Persistent worker for the cost-scaling leg of the race; created lazily
-  // on the first kRace round so single-algorithm modes never hold a thread.
+  // Persistent worker for the cost-scaling leg of the race and the price
+  // refine job after it; created lazily on the first kRace round so
+  // single-algorithm modes never hold a thread.
   std::unique_ptr<ThreadPool> worker_;
   size_t worker_spawns_ = 0;
+  // The price refine job submitted by the last relaxation-won round. It
+  // reads relaxation's view and writes cost scaling's pending import, so
+  // everything that touches either joins it first (JoinRefine).
+  ThreadPool::Ticket refine_ticket_;
+  bool refine_in_flight_ = false;
+  // Runtimes of relaxation's last completed race solves (a ring), from
+  // which the cost-scaling leg's stagger deadline is derived.
+  std::vector<uint64_t> relaxation_us_;
+  size_t relaxation_next_ = 0;
   // Persistent dispatch worker for SolveAsync; lazy so synchronous callers
   // never hold the extra thread. async_result_ is written on the worker and
   // read after the ticket's Wait/Done, which order the accesses.

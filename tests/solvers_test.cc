@@ -655,6 +655,162 @@ TEST(RacingSolverTest, ReportsWinnerAndLoserStats) {
   EXPECT_TRUE(relax_done || cs_done);
 }
 
+// Asserts the race's installed flow costs what a fresh cost-scaling solve of
+// the same network does.
+void ExpectScratchCost(const FlowNetwork& net, const SolveStats& stats, int round) {
+  FlowNetwork scratch_net = net;
+  CostScaling scratch;
+  SolveStats scratch_stats = scratch.Solve(&scratch_net);
+  EXPECT_EQ(stats.total_cost, scratch_stats.total_cost) << "round " << round;
+  CheckResult check = CheckOptimality(net);
+  EXPECT_TRUE(check.ok()) << "round " << round << ": " << check.message;
+}
+
+// The staggered race: on quiet rounds relaxation finishes before its p90
+// deadline, so the cost-scaling leg only syncs its view (the journal is
+// still consumed) and never solves; a churn burst past the journal trigger
+// (more than one change per ten nodes) releases the leg at once.
+TEST(RacingSolverTest, StaggeredLegWaitsOnQuietRoundsAndStartsOnBursts) {
+  SchedulingGraphSpec spec;
+  spec.seed = 11;
+  spec.num_tasks = 200;
+  spec.num_machines = 30;
+  spec.slots_per_machine = 10;  // spare slots: relaxation's home turf (§4.2)
+  FlowNetwork net = MakeSchedulingGraph(spec);
+  net.EnableChangeRecording(true);
+  Rng rng(19);
+
+  RacingSolver racing;
+  constexpr int kWarmUp = 16;  // completed relaxation solves that arm the deadline
+  // Who wins a warm-up round is a matter of timing, so a loaded host can
+  // take many rounds to arm the deadline: run until enough armed rounds
+  // were seen, within a cap.
+  constexpr int kMinRounds = 96;
+  constexpr int kArmedRounds = 48;
+  constexpr int kMaxRounds = 512;
+  int relaxation_completed = 0;
+  int armed = 0;
+  int unstarted = 0;
+  int unstarted_patched = 0;
+  int round = 0;
+  for (; round < kMaxRounds && (round < kMinRounds || armed < kArmedRounds); ++round) {
+    const bool deadline_armed = relaxation_completed >= kWarmUp;
+    ASSERT_LE(net.Changes().size() * 10, net.NumNodes()) << "round " << round << " is not quiet";
+    SolveStats stats = racing.Solve(&net);
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+    EXPECT_TRUE(net.Changes().empty()) << "journal not consumed in round " << round;
+    const RoundStats& race = racing.last_round();
+    relaxation_completed += race.relaxation.outcome != SolveOutcome::kCancelled;
+    armed += deadline_armed;
+    if (round > 0) {
+      // Both views saw the same journal, so they took the same path.
+      EXPECT_EQ(race.cost_scaling.view_prep, race.relaxation.view_prep) << "round " << round;
+    }
+    if (race.cost_scaling_start_us == RoundStats::kNotStarted) {
+      EXPECT_EQ(race.cost_scaling.outcome, SolveOutcome::kCancelled) << "round " << round;
+      EXPECT_EQ(race.cost_scaling.iterations, 0u) << "round " << round;
+      unstarted += deadline_armed;
+      unstarted_patched += race.cost_scaling.view_prep == FlowNetworkView::PrepareResult::kPatched;
+    }
+    ExpectScratchCost(net, stats, round);
+    ApplyRandomChanges(&net, &rng, 2);
+  }
+
+  ApplyRandomChanges(&net, &rng, 60);
+  ASSERT_GT(net.Changes().size() * 10, net.NumNodes());
+  SolveStats stats = racing.Solve(&net);
+  ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal);
+  EXPECT_TRUE(net.Changes().empty());
+  EXPECT_EQ(racing.last_round().cost_scaling_start_us, 0u);
+  ExpectScratchCost(net, stats, round);
+
+  if (armed < kArmedRounds) {
+    GTEST_SKIP() << "relaxation completed " << relaxation_completed << " of " << round
+                 << " races; too few armed rounds to judge the stagger";
+  }
+  EXPECT_GT(unstarted, armed / 2);
+  EXPECT_GT(unstarted_patched, 0);
+}
+
+// A relaxation-won round returns before its price refine finishes: the
+// refine runs on the race worker, reading relaxation's view and writing
+// cost scaling's import. ResetState() and the destructor must join it (the
+// sanitizer legs run this test).
+TEST(RacingSolverTest, ResetAndDestroyJoinInFlightRefine) {
+  SchedulingGraphSpec spec;
+  spec.seed = 3;
+  spec.num_tasks = 120;
+  spec.num_machines = 20;
+  FlowNetwork net = MakeSchedulingGraph(spec);
+  net.EnableChangeRecording(true);
+  Rng rng(5);
+  int round = 0;
+  auto solve_until_relaxation_wins = [&](RacingSolver* racing) {
+    for (int tries = 0; tries < 256; ++tries, ++round) {
+      ApplyRandomChanges(&net, &rng, 3);
+      SolveStats stats = racing->Solve(&net);
+      ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+      ExpectScratchCost(net, stats, round);
+      if (racing->last_round().winner_algorithm == "relaxation") {
+        return;
+      }
+    }
+    FAIL() << "relaxation never won";
+  };
+  {
+    RacingSolver racing;
+    solve_until_relaxation_wins(&racing);
+    racing.ResetState();
+    ApplyRandomChanges(&net, &rng, 3);
+    SolveStats stats = racing.Solve(&net);
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal);
+    EXPECT_EQ(racing.last_round().price_refine_us, 0u);  // ResetState already joined it
+    ExpectScratchCost(net, stats, round);
+    solve_until_relaxation_wins(&racing);
+  }  // destroyed with the refine possibly still running
+  CostScaling fresh;
+  FlowNetwork copy = net;
+  EXPECT_EQ(fresh.Solve(&copy).total_cost, net.TotalCost());
+}
+
+// A solve cancelled in its prologue must leave a pending price-refine import
+// for the next solve: the race's staggered leg is cancelled this way on
+// most rounds.
+TEST(CostScalingTest, CancelledPrologueKeepsPendingImport) {
+  SchedulingGraphSpec spec;
+  spec.seed = 9;
+  spec.num_tasks = 60;
+  FlowNetwork base = MakeSchedulingGraph(spec);
+  base.EnableChangeRecording(true);
+  CostScalingOptions options;
+  options.incremental = true;
+  // Runs one warm round after importing all-zero potentials, optionally
+  // preceded by a solve cancelled before it starts.
+  auto second_round_iterations = [&](bool import, bool cancel_first) {
+    FlowNetwork net = base;
+    CostScaling solver(options);
+    EXPECT_EQ(solver.Solve(&net).outcome, SolveOutcome::kOptimal);
+    net.ClearChanges();
+    Rng rng(4);
+    ApplyRandomChanges(&net, &rng, 8);
+    if (import) {
+      solver.ImportPotentials({});  // every node at potential 0
+    }
+    if (cancel_first) {
+      std::atomic<bool> cancel{true};
+      EXPECT_EQ(solver.SolveView(net, &cancel).outcome, SolveOutcome::kCancelled);
+    }
+    SolveStats stats = solver.Solve(&net);
+    EXPECT_EQ(stats.outcome, SolveOutcome::kOptimal);
+    ExpectScratchCost(net, stats, 1);
+    return stats.iterations;
+  };
+  const uint64_t imported = second_round_iterations(true, false);
+  // The import must change the warm start, or this test proves nothing.
+  ASSERT_NE(imported, second_round_iterations(false, false));
+  EXPECT_EQ(second_round_iterations(true, true), imported);
+}
+
 // Approximate termination (§5.1): a tiny budget yields an approximate or
 // still-correct outcome, never a crash or a silently wrong "optimal".
 TEST(ApproximateSolveTest, TimeBudgetReturnsApproximateOutcome) {
