@@ -22,6 +22,9 @@
 //  * placement_equivalence: the acceptance property — a deterministic
 //    scripted load admitted under both modes must produce byte-identical
 //    delta streams and final placements (placements_identical = 1).
+//    extract_scope_share is the pipelined run's Σ tasks_extracted over
+//    Σ task_nodes: the share of task nodes the scoped apply visited (1.0
+//    for a full extraction every round).
 
 #include <chrono>
 #include <thread>
@@ -224,6 +227,8 @@ struct EquivalenceRun {
   uint64_t placement_hash = 0x811c9dc5;
   uint64_t rounds = 0;
   uint64_t ingested_during_solve = 0;
+  uint64_t tasks_extracted = 0;
+  uint64_t task_nodes = 0;
 };
 
 // Deterministic scripted load, manually pumped: in each phase half the jobs
@@ -241,6 +246,8 @@ EquivalenceRun RunScriptedLoad(bool pipelined, const std::vector<TraceJobSpec>& 
   EquivalenceRun run;
   service.set_on_round([&run](const SchedulerRoundResult& result) {
     ++run.rounds;
+    run.tasks_extracted += result.tasks_extracted;
+    run.task_nodes += result.task_nodes;
     for (const SchedulingDelta& delta : result.deltas) {
       run.delta_hash = HashMix(run.delta_hash, static_cast<uint64_t>(delta.kind));
       run.delta_hash = HashMix(run.delta_hash, delta.task);
@@ -328,6 +335,9 @@ void PlacementEquivalence(benchmark::State& state) {
     state.counters["placements_identical"] = identical ? 1.0 : 0.0;
     state.counters["rounds"] = static_cast<double>(pipelined.rounds);
     state.counters["ingest_overlap"] = static_cast<double>(pipelined.ingested_during_solve);
+    state.counters["extract_scope_share"] =
+        static_cast<double>(pipelined.tasks_extracted) /
+        std::max<double>(1.0, static_cast<double>(pipelined.task_nodes));
   }
 }
 

@@ -43,6 +43,10 @@ UNIT_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 # relaxation_only's medians over 5 runs of the parent commit on 4 vCPUs.
 FIG16_MAX_ROUND_S = 1.1
 
+# fig20 placement_equivalence extract_scope_share bar: between the full
+# extractor's 1.0 and the scoped apply's 0.554 (7 rounds, the first full).
+EXTRACT_SCOPE_SHARE = 0.8
+
 OPS = {
     ">=": lambda a, b: a >= b,
     "<=": lambda a, b: a <= b,
@@ -92,6 +96,11 @@ GATES = [
       for us in (0, 2000, 20000)],
     Gate("fig20", r"fig20/placement_equivalence", "placements_identical", ">=", 1.0, None, 1,
          "pipelined placements diverged from the serialized baseline"),
+    # Deterministic work counter: the share of task nodes the round apply
+    # visited (Σ tasks_extracted / Σ task_nodes).
+    Gate("fig20", r"fig20/placement_equivalence", "extract_scope_share", "<=",
+         EXTRACT_SCOPE_SHARE, None, 1,
+         "the round apply extracted (nearly) every task node: scoped extraction fell back"),
     Gate("fig20", r"fig20/pipeline_vs_serial", "ingest_overlap", ">", 0.0, None, 1,
          "no events ingested during an in-flight solve"),
     # Solve and ingest share one core below 2 CPUs: sanity bar only there.

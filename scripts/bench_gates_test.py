@@ -153,6 +153,19 @@ class Fig16(unittest.TestCase):
         self.assertTrue(bg.check(self.gate, docs, {"benchmarks": []}, 4)[0])
 
 
+class ExtractScopeShare(unittest.TestCase):
+    gate = next(g for g in bg.GATES if g.key == "extract_scope_share")
+
+    def test_full_extraction_fails_scoped_passes(self):
+        # Every round extracting in full reads 1.0; the scoped apply 0.554.
+        self.assertTrue(run(self.gate, [1.0]))
+        self.assertEqual(run(self.gate, [0.554]), [])
+
+    def test_only_placement_equivalence_is_gated(self):
+        names = [n for n in NAMES if bg.re.search(self.gate.series, n)]
+        self.assertEqual(names, ["fig20/placement_equivalence/iterations:1"])
+
+
 class CpuCondition(unittest.TestCase):
     def bars(self, key):
         return [g for g in bg.GATES if g.key == key]

@@ -15,8 +15,8 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 # End-to-end determinism self-test (vtbench, built into .bench_build/): per
 # workload, same-seed runs must give identical placements under cost
 # scaling and identical trace-driven calls under the race. Machine-checks
-# that the placement extractor's resolution order — the order deltas are
-# applied within a round — is a function of the network alone.
+# that each round's deltas (scoped extraction, ascending TaskId order) are
+# a function of the admitted stream alone.
 python3 vtbench/run.py --selftest --seconds 2
 
 # Solve-budget gate: the fig03/1250 shape under a 1 ms budget must come back

@@ -51,6 +51,9 @@ TaskId ClusterState::AddTaskToJob(JobId job_id, TaskDescriptor task) {
   task.id = id;
   task.job = job_id;
   it->second.tasks.push_back(id);
+  if (task.state == TaskState::kWaiting) {
+    ++num_waiting_tasks_;
+  }
   tasks_.emplace(id, std::move(task));
   return id;
 }
@@ -80,6 +83,7 @@ bool ClusterState::PlaceTask(TaskId task_id, MachineId machine, SimTime now) {
     return false;  // stale placement (task gone/running, or machine died)
   }
   TaskDescriptor& task = it->second;
+  --num_waiting_tasks_;
   task.state = TaskState::kRunning;
   task.machine = machine;
   task.placed_time = now;
@@ -103,6 +107,7 @@ bool ClusterState::EvictTask(TaskId task_id, SimTime now) {
   dirty_machines_.insert(task.machine);
   dirty_tasks_.insert(task_id);
   task.state = TaskState::kWaiting;
+  ++num_waiting_tasks_;
   task.machine = kInvalidMachineId;
   // Eviction restarts the wait clock; accumulated wait is preserved in
   // total_wait so the unscheduled cost keeps growing (§3.3).
@@ -132,6 +137,7 @@ bool ClusterState::WithdrawTask(TaskId task_id, SimTime now) {
     return false;  // placed/completed since the withdraw was decided
   }
   TaskDescriptor& task = it->second;
+  --num_waiting_tasks_;
   task.state = TaskState::kCompleted;
   task.finish_time = now;
   dirty_tasks_.insert(task_id);

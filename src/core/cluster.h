@@ -110,6 +110,8 @@ class ClusterState {
   TaskId AddTaskToJob(JobId job, TaskDescriptor task);
   const JobDescriptor& job(JobId id) const;
   const TaskDescriptor& task(TaskId id) const;
+  // Attribute edits only: `state` changes go through the lifecycle methods
+  // below, which keep the dirty set and the waiting count.
   TaskDescriptor& mutable_task(TaskId id);
   bool HasTask(TaskId id) const { return tasks_.count(id) != 0; }
   // One-lookup variant of HasTask + task(): nullptr if the task is unknown
@@ -119,6 +121,8 @@ class ClusterState {
     return it == tasks_.end() ? nullptr : &it->second;
   }
   size_t num_tasks() const { return tasks_.size(); }
+  // Tasks in state kWaiting, maintained by the lifecycle methods below.
+  size_t num_waiting_tasks() const { return num_waiting_tasks_; }
 
   // --- Task lifecycle ----------------------------------------------------
   // Lifecycle transitions are *idempotent*: an op whose precondition does
@@ -185,6 +189,7 @@ class ClusterState {
   std::set<TaskId> dirty_tasks_;
   std::set<MachineId> out_of_band_machines_;
   size_t num_alive_machines_ = 0;
+  size_t num_waiting_tasks_ = 0;
   JobId next_job_id_ = 0;
   TaskId next_task_id_ = 0;
 };
@@ -231,6 +236,8 @@ class EventStage {
   std::vector<StagedEvent>& TakeStaged();
 
   size_t staged_count() const { return front_.size(); }
+  // The events staged since the last TakeStaged, in arrival order.
+  const std::vector<StagedEvent>& staged() const { return front_; }
   bool empty() const { return front_.empty(); }
   // Monotonic: every event ever staged (observability / fuzz accounting).
   uint64_t total_staged() const { return total_staged_; }

@@ -293,7 +293,8 @@ bool FirmamentScheduler::WithdrawTask(TaskId task, SimTime now) {
   return true;
 }
 
-void FirmamentScheduler::ReplayStagedEvents() {
+uint64_t FirmamentScheduler::ReplayStagedEvents() {
+  WallTimer timer;
   // Replayed after extraction, in arrival order. Each event's validity was
   // checked against (and its cluster half applied to) live cluster state at
   // arrival, so the graph halves below cannot turn stale: a machine slated
@@ -323,6 +324,23 @@ void FirmamentScheduler::ReplayStagedEvents() {
         break;
     }
   }
+  return timer.ElapsedMicros();
+}
+
+size_t FirmamentScheduler::WaitingTaskNodes() const {
+  size_t staged = 0;
+  for (const StagedEvent& event : event_stage_.staged()) {
+    if (event.kind != StagedEvent::Kind::kTasksSubmitted) {
+      continue;
+    }
+    for (TaskId task : event.tasks) {
+      const TaskDescriptor* found = cluster_->FindTask(task);
+      if (found != nullptr && found->state == TaskState::kWaiting) {
+        ++staged;
+      }
+    }
+  }
+  return cluster_->num_waiting_tasks() - staged;
 }
 
 SchedulerRoundResult FirmamentScheduler::RunSchedulingRound(SimTime now) {
@@ -353,12 +371,17 @@ void FirmamentScheduler::PrepareRound(SimTime now) {
       CHECK(recheck.clean());
     }
   }
+  // Tasks whose cluster state changed since the last round: the next
+  // extraction revisits them (the update below drains the dirty set).
+  scope_tasks_.insert(scope_tasks_.end(), cluster_->dirty_tasks().begin(),
+                      cluster_->dirty_tasks().end());
   // Fig. 2b: update the graph before the solve. A non-optimal outcome
   // (infeasible cluster, budget-truncated approximate solve) is propagated
   // through the round result instead of aborting the scheduler.
   WallTimer update_timer;
   graph_manager_.UpdateRound(now);
   pending_graph_update_us_ = update_timer.ElapsedMicros();
+  round_writebacks_ = graph_manager_.network()->flow_writebacks();
 }
 
 SolveStats FirmamentScheduler::StartRound(SimTime now) {
@@ -422,14 +445,37 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
     // Degraded/infeasible rounds still replay: staged events carry forward
     // into the next round's graph instead of being lost, and admitted tasks
     // keep their original submit timestamps for honest latency tails.
-    ReplayStagedEvents();
+    result.staged_replay_us = ReplayStagedEvents();
     RecordPendingTemplates();
     midround_install_machines_.clear();
     result.total_runtime_us = round_timer.ElapsedMicros();
     return result;
   }
 
-  ExtractionResult extraction = ExtractPlacements(graph_manager_);
+  // Scoped extraction (see the staging contract in scheduler.h). Tasks
+  // changed mid-round are still in the cluster's dirty set.
+  const FlowNetwork& net = *graph_manager_.network();
+  scope_tasks_.insert(scope_tasks_.end(), cluster_->dirty_tasks().begin(),
+                      cluster_->dirty_tasks().end());
+  const bool optimal = pending_solve_.outcome == SolveOutcome::kOptimal;
+  ExtractionResult extraction;
+  const bool scoped = optimal && net.uid() == extracted_uid_ &&
+                      net.flow_writebacks() == round_writebacks_ + 1 &&
+                      extractor_.ExtractScoped(graph_manager_, scope_tasks_, &extraction);
+  if (!scoped) {
+    extraction = extractor_.ExtractAll(graph_manager_);
+  }
+  // An approximate flow leaves tasks unresolved, and their cluster state
+  // unreconciled: the next round extracts in full.
+  extracted_uid_ = optimal ? net.uid() : 0;
+  scope_tasks_.clear();
+  result.task_nodes = graph_manager_.num_task_nodes();
+  result.tasks_extracted = extraction.placements.size();
+  // A task node outside the scope holds the placement its flow gives it,
+  // so a waiting one is routed to its unscheduled aggregator: each counts
+  // as unscheduled, as the full diff would count it.
+  const size_t waiting_nodes = scoped ? WaitingTaskNodes() : 0;
+  size_t waiting_in_scope = 0;
 
   // A machine removed between StartRound and ApplyRound invalidates every
   // delta targeting it; those are dropped exactly like deltas for tasks that
@@ -460,6 +506,9 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
       // its graph removal replays below.
       continue;
     }
+    if (task.state == TaskState::kWaiting) {
+      ++waiting_in_scope;
+    }
     if (machine == kInvalidMachineId) {
       if (task.state == TaskState::kRunning) {
         // The optimal flow routes this task through its unscheduled
@@ -480,9 +529,10 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
       if (!machine_placeable(machine)) {
         // Target machine died (or lost its slots to a mid-round template
         // install): drop the delta; the task stays waiting and reschedules
-        // next round.
+        // next round, which revisits it even if its flow stays put.
         ++result.deltas_dropped;
         ++result.tasks_unscheduled;
+        scope_tasks_.push_back(task_id);
         continue;
       }
       SchedulingDelta delta;
@@ -499,6 +549,7 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
         // BEFORE evicting, so the task keeps running where it is instead of
         // being stranded waiting by an evict-then-failed-place pair.
         ++result.deltas_dropped;
+        scope_tasks_.push_back(task_id);
         continue;
       }
       SchedulingDelta delta;
@@ -513,13 +564,17 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
     }
     // Running on the same machine: no action.
   }
+  if (scoped) {
+    DCHECK_GE(waiting_nodes, waiting_in_scope);
+    result.tasks_unscheduled += waiting_nodes - waiting_in_scope;
+  }
 
   // Staged graph mutations replay *after* extraction: events that arrived
   // mid-round belong to the next round, and the solved flow must be diffed
   // against the graph the solver actually saw. This is also what makes the
   // pipelined loop placement-identical to a serialized one — the serialized
   // loop applies the same events after the round, in the same order.
-  ReplayStagedEvents();
+  result.staged_replay_us = ReplayStagedEvents();
   RecordPendingTemplates();
   midround_install_machines_.clear();
 

@@ -39,6 +39,10 @@ struct SchedulingDelta {
 };
 
 struct SchedulerRoundResult {
+  // At most one delta per task, in ascending TaskId order. The order does
+  // not depend on how the placements were extracted (scoped or full), on
+  // node ids, or on hash-map iteration. (A federated round concatenates its
+  // cells' rounds in cell order, each in its cell's local TaskId order.)
   std::vector<SchedulingDelta> deltas;
   SolveStats solver_stats;
   // Outcome of the round's solve. kOptimal and kApproximate rounds produce
@@ -54,7 +58,18 @@ struct SchedulerRoundResult {
   // deltas, §6.3) — the "total minus algorithm" slice of Fig. 2b that the
   // delta-driven policy API keeps O(|changed|).
   uint64_t graph_update_us = 0;
-  uint64_t total_runtime_us = 0;      // incl. graph update + extraction
+  // Wall time of ApplyRound after the solve: placement extraction, the diff
+  // against cluster state, staged replay and template recording (the graph
+  // update and the solve are the two fields above).
+  uint64_t total_runtime_us = 0;
+  // The staged-replay share of total_runtime_us (events that arrived while
+  // the round was in flight, replayed into the graph after the diff).
+  uint64_t staged_replay_us = 0;
+  // Task nodes in the solved graph, and how many of them the apply
+  // resolved and diffed: all of them on a full extraction, only the ones
+  // whose placement can have changed on a scoped one.
+  size_t task_nodes = 0;
+  size_t tasks_extracted = 0;
   size_t tasks_placed = 0;
   size_t tasks_preempted = 0;
   size_t tasks_migrated = 0;
@@ -136,6 +151,15 @@ class FirmamentScheduler {
   // mutates the network or the journal a solve in flight is reading. The
   // replay order is arrival order; validity was already established against
   // cluster state at arrival, so a replayed mutation never turns stale.
+  // ApplyRound extracts only the task nodes whose placement can differ from
+  // cluster state: those whose out-arc flow the solve changed, those routed
+  // through an aggregator, those whose cluster state changed since the last
+  // round (mid-round ones included: a failure's evictions), and those whose
+  // delta the last round dropped. Every other task node already holds the
+  // placement its flow gives it. The first round, a rebuilt network
+  // (integrity recovery), a round whose flow did not come from exactly one
+  // write-back, and an approximate solve and the round after it extract in
+  // full.
   MachineId AddMachine(RackId rack, const MachineSpec& spec);
   // Evicts running tasks (back to waiting) and removes the machine.
   // `on_removed` is the caller's post-removal notification (e.g. dropping
@@ -224,8 +248,12 @@ class FirmamentScheduler {
   // Integrity pass + graph update: everything StartRound does before the
   // solve, shared by the sync and async variants.
   void PrepareRound(SimTime now);
-  // Applies the graph half of events staged while the round was in flight.
-  void ReplayStagedEvents();
+  // Applies the graph half of events staged while the round was in flight;
+  // returns its wall time in microseconds.
+  uint64_t ReplayStagedEvents();
+  // Waiting tasks that have a node in the graph (staged submissions have
+  // none yet).
+  size_t WaitingTaskNodes() const;
   // The template fast path for one freshly minted job (ids in task order).
   // Returns true if a cached placement was validated and installed.
   bool TryTemplateInstall(JobId job, const std::vector<TaskId>& ids, SimTime now,
@@ -258,6 +286,15 @@ class FirmamentScheduler {
   SchedulerEventCounters event_counters_;
   SolveStats pending_solve_;
   uint64_t pending_graph_update_us_ = 0;
+  // Scoped extraction state: the extractor's aggregator-arc index, the
+  // tasks the next extraction must revisit (cluster-state changes since the
+  // last extraction, dropped deltas), the network uid the last extraction
+  // left consistent with cluster state (0: none, extract in full), and the
+  // network's write-back count when the current round's solve started.
+  ScopedExtractor extractor_;
+  std::vector<TaskId> scope_tasks_;
+  uint64_t extracted_uid_ = 0;
+  uint64_t round_writebacks_ = 0;
   // Repairs performed by the StartRound integrity pass, handed to the next
   // ApplyRound's result.
   std::vector<RecoveryAction> pending_recovery_;

@@ -524,6 +524,9 @@ void FederationCoordinator::MergeCellRound(CellScheduler& cell,
   merged.algorithm_runtime_us += round.algorithm_runtime_us;
   merged.graph_update_us += round.graph_update_us;
   merged.total_runtime_us += round.total_runtime_us;
+  merged.staged_replay_us += round.staged_replay_us;
+  merged.task_nodes += round.task_nodes;
+  merged.tasks_extracted += round.tasks_extracted;
   merged.tasks_placed += round.tasks_placed;
   merged.tasks_preempted += round.tasks_preempted;
   merged.tasks_migrated += round.tasks_migrated;

@@ -372,9 +372,10 @@ int64_t FlowNetworkView::TotalCost() const {
 }
 
 void FlowNetworkView::WriteBackFlow(FlowNetwork* net) const {
+  net->BeginFlowWriteBack();
   for (uint32_t a = 0; a < num_arcs(); ++a) {
     if (orig_arc_[a] != kInvalidArcId) {
-      net->SetFlow(orig_arc_[a], flow_[a]);
+      net->WriteBackArcFlow(orig_arc_[a], flow_[a]);
     }
   }
 }

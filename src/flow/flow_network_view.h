@@ -197,7 +197,9 @@ class FlowNetworkView {
   int64_t TotalCost() const;
   // excess[v] = supply(v) + inflow(v) - outflow(v), one SoA sweep.
   void ComputeExcess(std::vector<int64_t>* excess) const;
-  // Installs this view's flow into the original network's arcs.
+  // Installs this view's flow into the original network's arcs as one
+  // write-back, which records the arcs whose flow changed
+  // (FlowNetwork::flow_changed_arcs).
   void WriteBackFlow(FlowNetwork* net) const;
 
   // --- Packed residual star -------------------------------------------------

@@ -18,6 +18,8 @@ FlowNetwork::FlowNetwork(const FlowNetwork& other)
       free_nodes_(other.free_nodes_),
       free_arcs_(other.free_arcs_),
       changes_(other.changes_),
+      flow_changed_arcs_(other.flow_changed_arcs_),
+      flow_writebacks_(other.flow_writebacks_),
       num_valid_arcs_(other.num_valid_arcs_),
       uid_(NextUid()),
       version_(other.version_),
@@ -35,6 +37,8 @@ FlowNetwork& FlowNetwork::operator=(const FlowNetwork& other) {
   free_nodes_ = other.free_nodes_;
   free_arcs_ = other.free_arcs_;
   changes_ = other.changes_;
+  flow_changed_arcs_ = other.flow_changed_arcs_;
+  flow_writebacks_ = other.flow_writebacks_;
   num_valid_arcs_ = other.num_valid_arcs_;
   uid_ = NextUid();
   version_ = other.version_;

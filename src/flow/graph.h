@@ -96,6 +96,8 @@ class FlowNetwork {
   const std::vector<ArcRef>& Adjacency(NodeId node) const { return nodes_[node].adjacency; }
   // Compact list of valid node ids (unordered; stable between mutations).
   const std::vector<NodeId>& ValidNodes() const { return valid_nodes_; }
+  // Index of `node` in ValidNodes().
+  uint32_t ValidListPos(NodeId node) const { return nodes_[node].valid_list_pos; }
   size_t NumNodes() const { return valid_nodes_.size(); }
   // One past the largest node id ever allocated; for sizing id-indexed state.
   NodeId NodeCapacity() const { return static_cast<NodeId>(nodes_.size()); }
@@ -107,6 +109,8 @@ class FlowNetwork {
   int64_t Capacity(ArcId arc) const { return arcs_[arc].capacity; }
   int64_t Cost(ArcId arc) const { return arcs_[arc].cost; }
   int64_t Flow(ArcId arc) const { return flow_[arc]; }
+  // Index of the arc's reverse entry in Adjacency(Dst(arc)).
+  uint32_t PosInDst(ArcId arc) const { return arcs_[arc].pos_in_dst; }
   void SetFlow(ArcId arc, int64_t flow) {
     DCHECK_GE(flow, 0);
     flow_[arc] = flow;
@@ -159,6 +163,23 @@ class FlowNetwork {
     CHECK_EQ(flow_.size(), other.flow_.size());
     flow_ = other.flow_;
   }
+  // Installs a solver's solution: BeginFlowWriteBack, then WriteBackArcFlow
+  // for every arc. The network counts write-backs and keeps the arcs whose
+  // flow the latest one changed, so placement extraction can revisit only
+  // the tasks a solve moved.
+  void BeginFlowWriteBack() {
+    flow_changed_arcs_.clear();
+    ++flow_writebacks_;
+  }
+  void WriteBackArcFlow(ArcId arc, int64_t flow) {
+    DCHECK_GE(flow, 0);
+    if (flow_[arc] != flow) {
+      flow_[arc] = flow;
+      flow_changed_arcs_.push_back(arc);
+    }
+  }
+  const std::vector<ArcId>& flow_changed_arcs() const { return flow_changed_arcs_; }
+  uint64_t flow_writebacks() const { return flow_writebacks_; }
   // Node excess: supply + inflow - outflow. Zero everywhere iff feasible.
   int64_t Excess(NodeId node) const;
   // Sum of c(a) * f(a) over all arcs.
@@ -234,6 +255,8 @@ class FlowNetwork {
   std::vector<NodeId> free_nodes_;
   std::vector<ArcId> free_arcs_;
   std::vector<GraphChange> changes_;
+  std::vector<ArcId> flow_changed_arcs_;
+  uint64_t flow_writebacks_ = 0;
   size_t num_valid_arcs_ = 0;
   uint64_t uid_ = NextUid();
   uint64_t version_ = 0;

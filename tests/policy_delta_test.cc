@@ -23,6 +23,7 @@
 #include "src/core/integrity_checker.h"
 #include "src/core/load_spreading_policy.h"
 #include "src/core/network_aware_policy.h"
+#include "src/core/placement_extractor.h"
 #include "src/core/quincy_policy.h"
 #include "src/core/scheduler.h"
 #include "src/sim/block_store.h"
@@ -790,6 +791,249 @@ TEST(PolicyDeltaTest, RampAdvancesUnscheduledCostWithoutPolicyCalls) {
   manager.UpdateRound(10 * kSec);
   EXPECT_EQ(net.Cost(unscheduled),
             params.base_unscheduled_cost + 10 * params.wait_cost_per_second);
+}
+
+// ---------------------------------------------------------------------------
+// Scoped extraction pin: every round's apply must make the deltas and
+// counts that full Listing-1 extraction over the same flow makes, diffed
+// against the same cluster state.
+// ---------------------------------------------------------------------------
+
+struct ReferenceApply {
+  std::vector<SchedulingDelta> deltas;
+  size_t placed = 0;
+  size_t preempted = 0;
+  size_t migrated = 0;
+  size_t unscheduled = 0;
+  size_t dropped = 0;
+};
+
+// ApplyRound's diff rules over ExtractPlacements, in the delta order rule
+// (ascending TaskId), applied to a copy of the cluster. `installs` are the
+// machines a template install took slots on while the round was in flight.
+ReferenceApply ApplyFullExtraction(const FlowGraphManager& manager, ClusterState cluster,
+                                   const std::set<MachineId>& installs, SimTime now) {
+  ExtractionResult full = ExtractPlacements(manager);
+  std::sort(full.placements.begin(), full.placements.end());
+  auto placeable = [&](MachineId machine) {
+    return machine < cluster.machines().size() && cluster.machine(machine).alive &&
+           (installs.count(machine) == 0 || cluster.machine(machine).FreeSlots() > 0);
+  };
+  ReferenceApply ref;
+  for (const auto& [task_id, machine] : full.placements) {
+    const TaskDescriptor* task = cluster.FindTask(task_id);
+    if (task == nullptr || task->state == TaskState::kCompleted) {
+      continue;
+    }
+    const MachineId from = task->machine;
+    if (machine == kInvalidMachineId) {
+      if (task->state == TaskState::kRunning) {
+        ref.deltas.push_back({SchedulingDelta::Kind::kPreempt, task_id, from, kInvalidMachineId});
+        cluster.EvictTask(task_id, now);
+        ++ref.preempted;
+      } else {
+        ++ref.unscheduled;
+      }
+    } else if (task->state == TaskState::kWaiting) {
+      if (!placeable(machine)) {
+        ++ref.dropped;
+        ++ref.unscheduled;
+        continue;
+      }
+      ref.deltas.push_back({SchedulingDelta::Kind::kPlace, task_id, kInvalidMachineId, machine});
+      cluster.PlaceTask(task_id, machine, now);
+      ++ref.placed;
+    } else if (from != machine) {
+      if (!placeable(machine)) {
+        ++ref.dropped;
+        continue;
+      }
+      ref.deltas.push_back({SchedulingDelta::Kind::kMigrate, task_id, from, machine});
+      cluster.EvictTask(task_id, now);
+      cluster.PlaceTask(task_id, machine, now);
+      ++ref.migrated;
+    }
+  }
+  return ref;
+}
+
+std::string DeltaString(const std::vector<SchedulingDelta>& deltas) {
+  std::string out;
+  for (const SchedulingDelta& delta : deltas) {
+    out += std::to_string(static_cast<int>(delta.kind)) + ":" + std::to_string(delta.task) +
+           ":" + std::to_string(delta.from) + ">" + std::to_string(delta.to) + " ";
+  }
+  return out;
+}
+
+// Phase-split rounds with events on both sides of the solve: submissions
+// and resubmissions of recorded job shapes (template installs, mid-round
+// ones included), completions, machine failures and arrivals. Before each
+// ApplyRound the reference runs on the solved flow and a cluster copy.
+void FuzzScopedExtraction(Policy kind, SolverMode mode, uint64_t seed) {
+  ClusterState cluster;
+  std::unique_ptr<BlockStore> store;
+  if (kind == Policy::kQuincyWithLocality) {
+    store = std::make_unique<BlockStore>(&cluster, seed + 1);
+  }
+  std::unique_ptr<SchedulingPolicy> policy = MakePolicy(kind, &cluster, store.get());
+  FirmamentSchedulerOptions options;
+  options.solver.mode = mode;
+  options.enable_templates = true;
+  FirmamentScheduler scheduler(&cluster, policy.get(), options);
+  Rng rng(seed);
+  std::vector<RackId> racks;
+  for (int r = 0; r < 4; ++r) {
+    racks.push_back(cluster.AddRack());
+    for (int m = 0; m < 5; ++m) {
+      scheduler.AddMachine(racks.back(),
+                           MachineSpec{.slots = static_cast<int32_t>(rng.NextInt(2, 4))});
+    }
+  }
+
+  std::vector<std::vector<TaskDescriptor>> shapes;  // submitted jobs, for resubmission
+  auto submit = [&](SimTime now, std::set<MachineId>* installs) {
+    std::vector<TaskDescriptor> tasks;
+    if (!shapes.empty() && rng.NextBool(0.6)) {
+      tasks = shapes[rng.NextUint64(shapes.size())];
+    } else {
+      tasks.resize(static_cast<size_t>(rng.NextInt(1, 4)));
+      for (TaskDescriptor& task : tasks) {
+        task.runtime = static_cast<SimTime>(rng.NextInt(5, 50)) * kSec;
+        if (store != nullptr && rng.NextBool(0.8)) {
+          task.input_size_bytes = rng.NextInt(200'000'000, 2'000'000'000);
+          task.input_blocks = store->AllocateInput(task.input_size_bytes);
+        }
+      }
+      shapes.push_back(tasks);
+    }
+    TemplateInstallResult install;
+    scheduler.SubmitJob(JobType::kBatch, 0, std::move(tasks), now, &install);
+    if (installs != nullptr) {
+      for (const SchedulingDelta& delta : install.deltas) {
+        installs->insert(delta.to);
+      }
+    }
+  };
+  auto running_tasks = [&]() {
+    std::vector<TaskId> running;
+    for (TaskId task : cluster.LiveTasks()) {
+      if (cluster.task(task).state == TaskState::kRunning) {
+        running.push_back(task);
+      }
+    }
+    return running;
+  };
+  auto remove_machine = [&](SimTime now) {
+    std::vector<MachineId> alive;
+    for (const MachineDescriptor& machine : cluster.machines()) {
+      if (machine.alive) {
+        alive.push_back(machine.id);
+      }
+    }
+    if (alive.size() <= 4) {
+      return;
+    }
+    MachineId victim = alive[rng.NextUint64(alive.size())];
+    BlockStore* replicas = store.get();
+    scheduler.RemoveMachine(victim, now, [replicas, victim] {
+      if (replicas != nullptr) {
+        replicas->OnMachineRemoved(victim);
+      }
+    });
+  };
+
+  constexpr int kRounds = 60;
+  int scoped_rounds = 0;
+  size_t installs_seen = 0;
+  size_t dropped = 0;
+  SimTime now = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    now += static_cast<SimTime>(rng.NextInt(300, 1'700)) * 1'000;
+    if (rng.NextBool(0.5)) {
+      submit(now, nullptr);
+    }
+    scheduler.StartRound(now);
+
+    // Mid-round: the graph halves stage, the cluster halves apply now.
+    std::set<MachineId> installs;
+    std::vector<TaskId> running = running_tasks();
+    for (int i = static_cast<int>(rng.NextInt(0, 2)); i > 0 && !running.empty(); --i) {
+      size_t pick = rng.NextUint64(running.size());
+      scheduler.CompleteTask(running[pick], now + 10);
+      running[pick] = running.back();
+      running.pop_back();
+    }
+    if (rng.NextBool(0.15)) {
+      remove_machine(now + 20);
+    }
+    for (int i = static_cast<int>(rng.NextInt(0, 2)); i > 0; --i) {
+      submit(now + 30, &installs);
+    }
+    if (rng.NextBool(0.1)) {
+      scheduler.AddMachine(racks[rng.NextUint64(racks.size())], MachineSpec{.slots = 3});
+    }
+    installs_seen += installs.size();
+
+    const SimTime apply_time = now + 1'000;
+    ReferenceApply want =
+        ApplyFullExtraction(scheduler.graph_manager(), cluster, installs, apply_time);
+    SchedulerRoundResult got = scheduler.ApplyRound(apply_time);
+    ASSERT_EQ(got.outcome, SolveOutcome::kOptimal);
+    const std::string context = std::string(PolicyName(kind)) + " seed " +
+                                std::to_string(seed) + " round " + std::to_string(round);
+    EXPECT_EQ(DeltaString(got.deltas), DeltaString(want.deltas)) << context;
+    EXPECT_EQ(got.tasks_placed, want.placed) << context;
+    EXPECT_EQ(got.tasks_preempted, want.preempted) << context;
+    EXPECT_EQ(got.tasks_migrated, want.migrated) << context;
+    EXPECT_EQ(got.tasks_unscheduled, want.unscheduled) << context;
+    EXPECT_EQ(got.deltas_dropped, want.dropped) << context;
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+    scoped_rounds += got.tasks_extracted < got.task_nodes ? 1 : 0;
+    dropped += got.deltas_dropped;
+
+    // Between rounds: completions and failures on the synchronous path.
+    running = running_tasks();
+    for (int i = static_cast<int>(rng.NextInt(0, 3)); i > 0 && !running.empty(); --i) {
+      size_t pick = rng.NextUint64(running.size());
+      scheduler.CompleteTask(running[pick], apply_time + 10);
+      running[pick] = running.back();
+      running.pop_back();
+    }
+    if (rng.NextBool(0.1)) {
+      remove_machine(apply_time + 20);
+    }
+  }
+  // The pin must exercise the scoped path, dropped deltas and mid-round
+  // installs (network-aware opts out of templates).
+  EXPECT_GT(scoped_rounds, kRounds / 2);
+  EXPECT_GT(dropped, 0u);
+  if (kind != Policy::kNetworkAware) {
+    EXPECT_GT(installs_seen, 0u);
+  }
+}
+
+TEST(ScopedExtractionFuzz, QuincyWithLocalityMatchesFullExtraction) {
+  for (uint64_t seed : {701u, 703u}) {
+    FuzzScopedExtraction(Policy::kQuincyWithLocality, SolverMode::kCostScalingOnly, seed);
+  }
+  FuzzScopedExtraction(Policy::kQuincyWithLocality, SolverMode::kRace, 704);
+}
+
+// Request aggregators: the network-aware policy's tasks -> RA -> machine.
+TEST(ScopedExtractionFuzz, NetworkAwareMatchesFullExtraction) {
+  for (uint64_t seed : {901u, 902u}) {
+    FuzzScopedExtraction(Policy::kNetworkAware, SolverMode::kCostScalingOnly, seed);
+  }
+}
+
+TEST(ScopedExtractionFuzz, LoadSpreadingMatchesFullExtraction) {
+  for (uint64_t seed : {801u, 802u, 803u}) {
+    FuzzScopedExtraction(Policy::kLoadSpreading, SolverMode::kCostScalingOnly, seed);
+  }
+  FuzzScopedExtraction(Policy::kLoadSpreading, SolverMode::kRace, 804);
 }
 
 }  // namespace

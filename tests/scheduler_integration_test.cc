@@ -300,6 +300,79 @@ TEST(PhaseSplitRoundTest, MachineRemovedMidRoundDropsItsDeltas) {
   EXPECT_GT(scheduler.graph_manager().ValidateIntegrity(), 0u);
 }
 
+// Load spreading plus a cheap direct arc from every waiting task that has
+// input to one pinned machine, so such a task's flow goes straight to that
+// machine and stays on the same arc for as long as the task waits.
+class PinnedWaitPolicy : public LoadSpreadingPolicy {
+ public:
+  PinnedWaitPolicy(const ClusterState* cluster, MachineId pinned)
+      : LoadSpreadingPolicy(cluster), pinned_(pinned) {}
+  void Initialize(FlowGraphManager* manager) override {
+    manager_ = manager;
+    LoadSpreadingPolicy::Initialize(manager);
+  }
+  void TaskSpecificArcs(const TaskDescriptor& task, SimTime now,
+                        std::vector<ArcSpec>* out) override {
+    LoadSpreadingPolicy::TaskSpecificArcs(task, now, out);
+    if (task.state == TaskState::kWaiting && task.input_size_bytes > 0) {
+      out->push_back({manager_->NodeForMachine(pinned_), 1, -1000, 0});
+    }
+  }
+
+ private:
+  MachineId pinned_;
+  FlowGraphManager* manager_ = nullptr;
+};
+
+// A place delta dropped because a mid-round template install took its slot
+// leaves the task waiting while its flow may stay exactly where it was: the
+// next round must still revisit the task and place it.
+TEST(PhaseSplitRoundTest, DroppedDeltaIsRevisitedWhenItsFlowStaysPut) {
+  ClusterState cluster;
+  PinnedWaitPolicy policy(&cluster, /*pinned=*/0);
+  FirmamentSchedulerOptions options;
+  options.solver.mode = SolverMode::kCostScalingOnly;
+  options.enable_templates = true;
+  FirmamentScheduler scheduler(&cluster, &policy, options);
+  RackId rack = cluster.AddRack();
+  MachineId m0 = scheduler.AddMachine(rack, MachineSpec{.slots = 1});
+  ASSERT_EQ(m0, 0u);
+
+  // Record a one-task template on m0, then free the slot.
+  JobId warm = scheduler.SubmitJob(JobType::kBatch, 0, {TaskDescriptor{}}, 0);
+  scheduler.RunSchedulingRound(kSec);
+  ASSERT_EQ(scheduler.template_stats().recordings, 1u);
+  scheduler.CompleteTask(cluster.job(warm).tasks[0], kSec + 1);
+  MachineId m1 = scheduler.AddMachine(rack, MachineSpec{.slots = 1});
+  scheduler.RunSchedulingRound(2 * kSec);
+
+  // A pinned task (another shape: no template) is solved onto m0 ...
+  TaskDescriptor pinned_task;
+  pinned_task.input_size_bytes = 1;
+  JobId pinned_job = scheduler.SubmitJob(JobType::kBatch, 1, {pinned_task}, 3 * kSec);
+  TaskId pinned = cluster.job(pinned_job).tasks[0];
+  scheduler.StartRound(3 * kSec);
+  // ... while an install of the recorded shape takes m0's slot mid-round.
+  TemplateInstallResult install;
+  JobId installed_job =
+      scheduler.SubmitJob(JobType::kBatch, 0, {TaskDescriptor{}}, 3 * kSec + 1, &install);
+  ASSERT_TRUE(install.installed);
+  TaskId installed = cluster.job(installed_job).tasks[0];
+  ASSERT_EQ(cluster.task(installed).machine, m0);
+  SchedulerRoundResult dropped = scheduler.ApplyRound(3 * kSec + 1000);
+  EXPECT_EQ(dropped.deltas_dropped, 1u);
+  EXPECT_EQ(cluster.task(pinned).state, TaskState::kWaiting);
+
+  // Next round the pinned arc still wins m0, so the pinned task's flow does
+  // not move; the installed task migrates to m1 instead.
+  SchedulerRoundResult next = scheduler.RunSchedulingRound(4 * kSec);
+  EXPECT_EQ(next.tasks_placed, 1u);
+  EXPECT_EQ(next.tasks_migrated, 1u);
+  EXPECT_EQ(cluster.task(pinned).state, TaskState::kRunning);
+  EXPECT_EQ(cluster.task(pinned).machine, m0);
+  EXPECT_EQ(cluster.task(installed).machine, m1);
+}
+
 // ---------------------------------------------------------------------------
 // Mid-round staging contract (scheduler.h): between StartRound and
 // ApplyRound the ClusterState half of every event applies eagerly while the
