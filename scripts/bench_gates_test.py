@@ -197,5 +197,31 @@ class EqualsBaseline(unittest.TestCase):
         self.assertTrue(bg.check(self.gate, docs, baseline, 4)[0])
 
 
+class RemovalWorkCounters(unittest.TestCase):
+    gates = [g for g in bg.GATES if g.key in ("removal_tasks_refreshed", "removal_class_misses")]
+
+    def test_both_counters_gated_on_removal_dirty_only(self):
+        self.assertEqual(len(self.gates), 2)
+        for gate in self.gates:
+            names = [n for n in NAMES if bg.re.search(gate.series, n)]
+            self.assertEqual(names, ["fig11/removal_dirty/850/quincy/iterations:6/manual_time"])
+
+    def test_one_extra_unit_of_work_fails(self):
+        # Recorded baselines: 1248 refreshed tasks, 1140 class misses.
+        for gate, base in zip(self.gates, (1248, 1140)):
+            with self.subTest(gate=gate):
+                self.assertEqual(run(gate, [base], baseline_value=base), [])
+                self.assertTrue(run(gate, [base + 1], baseline_value=base))
+                self.assertTrue(run(gate, [base - 1], baseline_value=base))
+
+    def test_baseline_without_the_counter_fails(self):
+        for gate in self.gates:
+            baseline = doc(gate, 1.0)
+            for row in baseline["benchmarks"]:
+                row.pop(gate.key, None)
+            with self.subTest(gate=gate):
+                self.assertTrue(bg.check(gate, [doc(gate, 1.0)], baseline, 4)[0])
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -27,7 +27,7 @@ FIRMAMENT_BUDGET_GATE=1 ./build/scheduler_integration_test \
   --gtest_filter='SolveBudgetTest.Fig03ShapeDegradesWithinTwiceBudget'
 
 # Debug + ASan/UBSan leg: the cross-round caches (class-arc cache, Quincy
-# block->task index) and the solvers' persistent views carry state between
+# removed-block set) and the solvers' persistent views carry state between
 # rounds, so lifetime bugs — stale cache entries, dangling refs into a
 # renumbered view — corrupt results long after the mutation. Under
 # sanitizers they fail loudly at the faulting access instead. Skip with

@@ -6,12 +6,24 @@
 #ifndef SRC_CORE_DATA_LOCALITY_H_
 #define SRC_CORE_DATA_LOCALITY_H_
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster.h"
 #include "src/core/types.h"
 
 namespace firmament {
+
+// Every byte count the Quincy policy prices a task's arcs from
+// (DataLocalityInterface::ProfileInput).
+struct LocalityProfile {
+  // (candidate machine, BytesOnMachine), in CandidateMachines order.
+  std::vector<std::pair<MachineId, int64_t>> machines;
+  // (rack, BytesInRack) for every rack holding a candidate, ascending rack
+  // id. A block counts once per rack, however many replicas it has there.
+  std::vector<std::pair<RackId, int64_t>> racks;
+};
 
 class DataLocalityInterface {
  public:
@@ -25,11 +37,19 @@ class DataLocalityInterface {
   // targets for preference arcs.
   virtual void CandidateMachines(const TaskDescriptor& task,
                                  std::vector<MachineId>* out) const = 0;
+  // Replaces `*out` with the task's profile: the same numbers the three
+  // queries above return, with racks taken from `cluster`. The default
+  // composes those queries (one pass over the blocks per query); a source
+  // that can walk the blocks once overrides it — BlockStore does, which is
+  // what makes a class-cache miss in QuincyPolicy::EquivClassArcs cheap.
+  virtual void ProfileInput(const TaskDescriptor& task, const ClusterState& cluster,
+                            LocalityProfile* out) const;
+
   // Appends the blocks with a replica currently on `machine` and returns
-  // true. Feeds the Quincy policy's block -> task reverse index: on a
-  // machine removal, only tasks reading one of these blocks can see their
-  // preference/transfer costs move, so only they (and their equivalence
-  // classes) are dirtied — not the whole task set. Must be queried BEFORE
+  // true. The Quincy policy collects them on a machine removal: only tasks
+  // reading one of these blocks can see their preference/transfer costs
+  // move, so only they (and their equivalence classes) are dirtied at the
+  // next round — not the whole task set. Must be queried BEFORE
   // the store itself drops the machine's replicas (the policy's
   // OnMachineRemoved hook runs first; see FirmamentScheduler::RemoveMachine
   // ordering). Sources without a reverse replica index keep the default and
@@ -40,6 +60,24 @@ class DataLocalityInterface {
     return false;
   }
 };
+
+inline void DataLocalityInterface::ProfileInput(const TaskDescriptor& task,
+                                                const ClusterState& cluster,
+                                                LocalityProfile* out) const {
+  std::vector<MachineId> candidates;
+  CandidateMachines(task, &candidates);
+  out->machines.clear();
+  out->racks.clear();
+  for (MachineId machine : candidates) {
+    out->machines.push_back({machine, BytesOnMachine(task, machine)});
+    out->racks.push_back({cluster.RackOf(machine), 0});
+  }
+  std::sort(out->racks.begin(), out->racks.end());
+  out->racks.erase(std::unique(out->racks.begin(), out->racks.end()), out->racks.end());
+  for (auto& [rack, bytes] : out->racks) {
+    bytes = BytesInRack(task, rack);
+  }
+}
 
 }  // namespace firmament
 

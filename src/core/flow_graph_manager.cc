@@ -121,27 +121,27 @@ void FlowGraphManager::InvalidateClass(EquivClass ec) {
   if (it == ec_cache_.end()) {
     return;
   }
-  for (const ArcSpec& spec : it->second) {
-    auto idx = ec_dst_index_.find(spec.dst);
-    if (idx != ec_dst_index_.end()) {
-      idx->second.erase(ec);
-      if (idx->second.empty()) {
-        ec_dst_index_.erase(idx);
-      }
-    }
+  ClassEntry& entry = it->second;
+  for (size_t i = 0; i < entry.arcs.size(); ++i) {
+    // Swap-remove the spec's slot; the entry moved into it learns its new
+    // position.
+    std::vector<ClassSpecRef>& refs = ec_dst_index_[entry.arcs[i].dst];
+    const uint32_t pos = entry.index_pos[i];
+    refs[pos] = refs.back();
+    refs[pos].entry->index_pos[refs[pos].spec] = pos;
+    refs.pop_back();
   }
   ec_cache_.erase(it);
 }
 
 void FlowGraphManager::InvalidateClassesReferencing(NodeId dst) {
-  auto idx = ec_dst_index_.find(dst);
-  if (idx == ec_dst_index_.end()) {
+  if (dst >= ec_dst_index_.size()) {
     return;
   }
-  // InvalidateClass mutates the index; detach the class set first.
-  std::unordered_set<EquivClass> classes = std::move(idx->second);
-  ec_dst_index_.erase(idx);
-  for (EquivClass ec : classes) {
+  // Each InvalidateClass drops all of the class's slots, this list's too.
+  std::vector<ClassSpecRef>& refs = ec_dst_index_[dst];
+  while (!refs.empty()) {
+    const EquivClass ec = refs.back().ec;
     InvalidateClass(ec);
     // Node removal is a semantic invalidation: cached placements built on
     // the class's arcs are stale too (unlike refcount eviction, which fires
@@ -153,16 +153,26 @@ void FlowGraphManager::InvalidateClassesReferencing(NodeId dst) {
 }
 
 void FlowGraphManager::ClearClassCache() {
+  for (const auto& [ec, entry] : ec_cache_) {
+    for (const ArcSpec& spec : entry.arcs) {
+      ec_dst_index_[spec.dst].clear();
+    }
+  }
   ec_cache_.clear();
-  ec_dst_index_.clear();
   if (on_class_cache_cleared_) {
     on_class_cache_cleared_();
   }
 }
 
-void FlowGraphManager::IndexClassArcs(EquivClass ec, const std::vector<ArcSpec>& arcs) {
-  for (const ArcSpec& spec : arcs) {
-    ec_dst_index_[spec.dst].insert(ec);
+void FlowGraphManager::IndexClassArcs(EquivClass ec, ClassEntry* entry) {
+  entry->index_pos.resize(entry->arcs.size());
+  for (size_t i = 0; i < entry->arcs.size(); ++i) {
+    const NodeId dst = entry->arcs[i].dst;
+    if (dst >= ec_dst_index_.size()) {
+      ec_dst_index_.resize(dst + 1);
+    }
+    entry->index_pos[i] = static_cast<uint32_t>(ec_dst_index_[dst].size());
+    ec_dst_index_[dst].push_back({entry, ec, static_cast<uint32_t>(i)});
   }
 }
 
@@ -209,6 +219,14 @@ void FlowGraphManager::EraseArcsTo(ArcMap* arcs, NodeId dst) {
   while (it != arcs->end() && it->first.first == dst) {
     it = arcs->erase(it);
   }
+}
+
+void FlowGraphManager::EraseArcsTo(ArcList* arcs, NodeId dst) {
+  auto first = std::partition_point(arcs->begin(), arcs->end(),
+                                    [dst](const auto& entry) { return entry.first.first < dst; });
+  auto last = std::partition_point(first, arcs->end(),
+                                   [dst](const auto& entry) { return entry.first.first == dst; });
+  arcs->erase(first, last);
 }
 
 int64_t FlowGraphManager::RampCost(const UnscheduledRamp& ramp, const TaskDescriptor& task,
@@ -347,6 +365,43 @@ void FlowGraphManager::DrainTaskFlow(NodeId task_node) {
     network_.SetFlow(next, network_.Flow(next) - 1);
     current = network_.Dst(next);
   }
+}
+
+void FlowGraphManager::DiffArcs(NodeId src, const std::vector<ArcSpec>& desired,
+                                ArcList* current) {
+  // `current` is sorted by key; a reused arc's slot is set to kInvalidArcId,
+  // which also marks a repeated key as a duplicate.
+  ArcList& updated = scratch_arcs_;
+  updated.clear();
+  for (const ArcSpec& spec : desired) {
+    const ArcKey key{spec.dst, spec.rank};
+    auto it = std::partition_point(current->begin(), current->end(),
+                                   [&key](const auto& entry) { return entry.first < key; });
+    if (it != current->end() && it->first == key) {
+      if (it->second == kInvalidArcId) {
+        continue;  // duplicate (destination, rank): first wins
+      }
+      network_.SetArcCost(it->second, spec.cost);
+      network_.SetArcCapacity(it->second, spec.capacity);
+      updated.push_back({key, it->second});
+      it->second = kInvalidArcId;
+      continue;
+    }
+    // A new key: duplicates can only be among the arcs added so far (task
+    // arc sets are tens long, so a scan beats a map).
+    if (std::any_of(updated.begin(), updated.end(),
+                    [&key](const auto& entry) { return entry.first == key; })) {
+      continue;
+    }
+    updated.push_back({key, network_.AddArc(src, spec.dst, spec.capacity, spec.cost)});
+  }
+  for (const auto& [key, arc] : *current) {
+    if (arc != kInvalidArcId) {
+      network_.RemoveArc(arc);
+    }
+  }
+  std::sort(updated.begin(), updated.end());
+  current->swap(updated);
 }
 
 void FlowGraphManager::DiffArcs(NodeId src, const std::vector<ArcSpec>& desired,
@@ -511,26 +566,37 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
     ++verified;
   }
   // Cross-round class cache: every cached spec must target a live node and
-  // be findable through the dst index (else a node removal could not
-  // invalidate it), and the index must not point at evicted entries.
-  for (const auto& [ec, arcs] : ec_cache_) {
+  // sit at its recorded slot of the dst index (else a node removal could
+  // not invalidate it), and the index must hold nothing else — no slot of
+  // an evicted entry. Both together make the index and the cached specs a
+  // one-to-one match.
+  size_t cached_specs = 0;
+  for (const auto& [ec, entry] : ec_cache_) {
     const std::string who = "class " + std::to_string(ec);
     // Entries exist only while the class has live members (the refcounts
     // evict at zero, so an unpopulated class can never serve stale arcs).
     expect(ec_refcount_.count(ec) != 0, (who + ": cached without live members").c_str());
-    for (const ArcSpec& spec : arcs) {
-      expect(network_.IsValidNode(spec.dst), (who + ": cached spec targets dead node").c_str());
-      auto idx = ec_dst_index_.find(spec.dst);
-      expect(idx != ec_dst_index_.end() && idx->second.count(ec) != 0,
-             (who + ": cached spec missing from dst index").c_str());
+    if (!expect(entry.index_pos.size() == entry.arcs.size(),
+                (who + ": index positions != cached specs").c_str())) {
+      continue;
     }
+    for (size_t i = 0; i < entry.arcs.size(); ++i) {
+      const NodeId dst = entry.arcs[i].dst;
+      const uint32_t pos = entry.index_pos[i];
+      expect(network_.IsValidNode(dst), (who + ": cached spec targets dead node").c_str());
+      const bool indexed = dst < ec_dst_index_.size() && pos < ec_dst_index_[dst].size() &&
+                           ec_dst_index_[dst][pos].entry == &entry &&
+                           ec_dst_index_[dst][pos].ec == ec && ec_dst_index_[dst][pos].spec == i;
+      expect(indexed, (who + ": cached spec not at its recorded dst index slot").c_str());
+    }
+    cached_specs += entry.arcs.size();
     ++verified;
   }
-  for (const auto& [dst, classes] : ec_dst_index_) {
-    for (EquivClass ec : classes) {
-      expect(ec_cache_.count(ec) != 0, "dst index points at evicted class entry");
-    }
+  size_t index_entries = 0;
+  for (const std::vector<ClassSpecRef>& refs : ec_dst_index_) {
+    index_entries += refs.size();
   }
+  expect(index_entries == cached_specs, "dst index entries != cached class specs");
   return verified;
 }
 
@@ -602,14 +668,15 @@ void FlowGraphManager::RefreshTask(TaskId task_id, SimTime now) {
     ++ec_refcount_[ec];
   }
   auto [cache_it, inserted] = ec_cache_.try_emplace(ec);
+  ClassEntry& entry = cache_it->second;
   if (inserted) {
-    policy_->EquivClassArcs(task, now, &cache_it->second);
-    IndexClassArcs(ec, cache_it->second);
+    policy_->EquivClassArcs(task, now, &entry.arcs);
+    IndexClassArcs(ec, &entry);
     ++update_stats_.class_cache_misses;
   } else {
     ++update_stats_.class_cache_hits;
   }
-  scratch_specs_.insert(scratch_specs_.end(), cache_it->second.begin(), cache_it->second.end());
+  scratch_specs_.insert(scratch_specs_.end(), entry.arcs.begin(), entry.arcs.end());
   DiffArcs(info.node, scratch_specs_, &info.arcs);
 
   network_.SetArcCost(info.unscheduled_arc, RampCost(info.ramp, task, now));

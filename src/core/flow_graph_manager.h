@@ -14,8 +14,8 @@
 // *cross-round* per-equivalence-class arc cache so identical tasks cost one
 // policy call per class while the class stays populated, not per round.
 // Cache entries are invalidated from deltas: the manager drops every class
-// whose cached arcs reference a node leaving the graph (the dst -> classes
-// reverse index below), the policy marks classes whose arc costs moved
+// whose cached arcs reference a node leaving the graph (the dst -> cached
+// specs reverse index below), the policy marks classes whose arc costs moved
 // without a node disappearing (PolicyDirtySink::MarkEquivClass), and an
 // entry is evicted with its class's last live member — an unpopulated
 // class has no task left to carry an invalidation mark, so its inputs
@@ -36,7 +36,6 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -106,6 +105,13 @@ class FlowGraphManager {
   TaskId TaskForNode(NodeId node) const;
   bool HasTask(TaskId task) const { return task_info_.count(task) != 0; }
   size_t num_task_nodes() const { return task_info_.size(); }
+  // Calls fn(TaskId) for every task with a graph node, in no fixed order.
+  template <typename Fn>
+  void ForEachTask(Fn&& fn) const {
+    for (const auto& [task, info] : task_info_) {
+      fn(task);
+    }
+  }
   // Aggregator key for a node ("" if the node is no aggregator) and the
   // unscheduled aggregator's job (kInvalidJobId otherwise); used by tests
   // to compare graphs structurally across managers.
@@ -173,14 +179,19 @@ class FlowGraphManager {
   bool HasAggregator(const std::string& key) const { return aggregators_.count(key) != 0; }
 
  private:
-  // Outgoing policy arcs keyed by (destination, parallel-arc rank).
+  // Outgoing policy arcs keyed by (destination, parallel-arc rank). A task
+  // has tens of them at most and rewrites them all on every refresh, so it
+  // keeps a flat list sorted by key; aggregators fan out to whole racks or
+  // the cluster and take machine-granular slice updates (DiffArcsTo), so
+  // they keep an ordered map.
   using ArcKey = std::pair<NodeId, int32_t>;
   using ArcMap = std::map<ArcKey, ArcId>;
+  using ArcList = std::vector<std::pair<ArcKey, ArcId>>;
 
   struct TaskInfo {
     NodeId node = kInvalidNodeId;
     ArcId unscheduled_arc = kInvalidArcId;
-    ArcMap arcs;
+    ArcList arcs;  // sorted by key
     // Cached unscheduled-cost ramp (policy API v2) and the heap-entry
     // generation that invalidates stale crossing events.
     UnscheduledRamp ramp;
@@ -200,6 +211,19 @@ class FlowGraphManager {
     NodeId node = kInvalidNodeId;
     std::string key;
     ArcMap arcs;
+  };
+  // A cached class's shared arc specs, and the slot of each spec's entry
+  // in ec_dst_index_[spec.dst].
+  struct ClassEntry {
+    std::vector<ArcSpec> arcs;
+    std::vector<uint32_t> index_pos;
+  };
+  // One cached spec in the dst index: its class, the class's cache entry
+  // and the spec's index in entry->arcs.
+  struct ClassSpecRef {
+    ClassEntry* entry;
+    EquivClass ec;
+    uint32_t spec;
   };
 
   // The PolicyDirtySink handed to SchedulingPolicy::CollectDirty; collects
@@ -235,6 +259,10 @@ class FlowGraphManager {
 
   // Replaces `current` arcs from `src` with `desired`, reusing arcs whose
   // destination is unchanged (cost/capacity updates instead of re-adds).
+  // Both overloads make the same graph calls in the same order: `desired`
+  // order (the first of duplicate keys wins), then removals of the unused
+  // arcs in key order.
+  void DiffArcs(NodeId src, const std::vector<ArcSpec>& desired, ArcList* current);
   void DiffArcs(NodeId src, const std::vector<ArcSpec>& desired, ArcMap* current);
   // Like DiffArcs but restricted to arcs towards `dst`: desired entries must
   // all target `dst`, and `current` entries towards other destinations are
@@ -263,8 +291,9 @@ class FlowGraphManager {
   // equivalence class whose arcs reference it (the node id may be recycled;
   // a stale cached ArcSpec would re-target the recycled node).
   void PurgeArcsTo(NodeId node);
-  // Drops every (dst, rank) entry pointing at `dst` from an arc map.
+  // Drops every (dst, rank) entry pointing at `dst` from an arc map/list.
   static void EraseArcsTo(ArcMap* arcs, NodeId dst);
+  static void EraseArcsTo(ArcList* arcs, NodeId dst);
   // Erases one class from the cross-round cache (and the dst index).
   void InvalidateClass(EquivClass ec);
   // Erases every class whose cached arcs reference `dst`.
@@ -272,7 +301,7 @@ class FlowGraphManager {
   // Drops the whole cache (full refreshes and MarkAllTasks/-EquivClasses).
   void ClearClassCache();
   // Registers a freshly computed class entry in the dst index.
-  void IndexClassArcs(EquivClass ec, const std::vector<ArcSpec>& arcs);
+  void IndexClassArcs(EquivClass ec, ClassEntry* entry);
   // Drops one live-member reference; evicts the cache entry at zero.
   void ReleaseClassRef(EquivClass ec);
 
@@ -308,10 +337,14 @@ class FlowGraphManager {
 
   // Cross-round equivalence-class arc cache: class key -> shared arc specs,
   // reused verbatim until invalidated. ec_dst_index_ is the reverse index
-  // (arc destination -> classes whose cached specs reference it) that node
-  // removals invalidate through.
-  std::unordered_map<EquivClass, std::vector<ArcSpec>> ec_cache_;
-  std::unordered_map<NodeId, std::unordered_set<EquivClass>> ec_dst_index_;
+  // node removals invalidate through: NodeId -> one ClassSpecRef per cached
+  // spec targeting the node. Each entry records where its specs sit in
+  // those lists (index_pos), so evicting a class is one swap-remove per
+  // spec with no hashing — the pos_in_src/pos_in_dst trick of FlowNetwork
+  // adjacency. ClassSpecRef points at its ClassEntry, which is safe because
+  // unordered_map values never move.
+  std::unordered_map<EquivClass, ClassEntry> ec_cache_;
+  std::vector<std::vector<ClassSpecRef>> ec_dst_index_;
   // Live tasks per class (from TaskInfo::ec). When the count hits zero the
   // class's cache entry is evicted: an unpopulated class has no task left
   // to carry an invalidation mark, so its inputs could silently drift
@@ -333,6 +366,7 @@ class FlowGraphManager {
   std::priority_queue<RampEntry, std::vector<RampEntry>, std::greater<RampEntry>> ramp_heap_;
 
   std::vector<ArcSpec> scratch_specs_;
+  ArcList scratch_arcs_;  // DiffArcs' next arc list
 };
 
 }  // namespace firmament

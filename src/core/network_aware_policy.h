@@ -17,7 +17,7 @@
 // Cross-round class cache: a class's only arc targets its RA node at
 // constant cost, so the sole invalidation source is the RA node being
 // drained and later recreated under a fresh NodeId — which the manager's
-// node-removal invalidation (dst -> classes reverse index) covers without
+// node-removal invalidation (dst -> cached specs reverse index) covers without
 // any MarkEquivClass calls from this policy.
 
 #ifndef SRC_CORE_NETWORK_AWARE_POLICY_H_

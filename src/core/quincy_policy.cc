@@ -39,9 +39,7 @@ void QuincyPolicy::Initialize(FlowGraphManager* manager) {
   // graph-derived bookkeeping resets here and is re-learned from the
   // replayed OnMachineAdded/OnTaskAdded hooks.
   slots_seen_.clear();
-  block_tasks_.clear();
-  pending_affected_tasks_.clear();
-  pending_dirty_all_ = false;
+  ClearPendingRemovals();
   // Reseed the template fingerprint from the current alive set; the
   // membership set keeps the replayed OnMachineAdded hooks idempotent.
   fp_machines_.clear();
@@ -80,20 +78,19 @@ void QuincyPolicy::OnMachineRemoved(MachineId machine) {
   if (fp_machines_.erase(machine) > 0) {
     fp_hash_ ^= MachineNeighborhoodHash(machine, rack);
   }
-  // Capture the tasks whose preference/transfer costs this removal can
-  // move: exactly those reading a block replicated on the machine (their
+  // The tasks whose preference/transfer costs this removal can move are
+  // exactly those reading a block replicated on the machine (their
   // BytesOnMachine / BytesInRack inputs change when the replicas drop).
-  // Queried now, while the locality source still lists the machine's
-  // replicas; CollectDirty turns the set into task + class marks next
-  // round. Tasks without blocks here keep arcs and costs verbatim.
+  // Collect the blocks now, while the locality source still lists the
+  // machine's replicas; CollectDirty matches them against the live tasks
+  // and turns the hits into task + class marks. Tasks without blocks here
+  // keep arcs and costs verbatim.
   if (locality_ != nullptr) {
     scratch_blocks_.clear();
     if (locality_->BlocksOnMachine(machine, &scratch_blocks_)) {
+      ++removals_;
       for (uint64_t block : scratch_blocks_) {
-        auto it = block_tasks_.find(block);
-        if (it != block_tasks_.end()) {
-          pending_affected_tasks_.insert(it->second.begin(), it->second.end());
-        }
+        removed_blocks_[block] = removals_;
       }
     } else {
       pending_dirty_all_ = true;
@@ -111,35 +108,50 @@ uint64_t QuincyPolicy::TemplateFingerprint(const TaskDescriptor& representative)
 }
 
 void QuincyPolicy::OnTaskAdded(const TaskDescriptor& task) {
-  if (locality_ == nullptr) {
-    return;
-  }
-  for (uint64_t block : task.input_blocks) {
-    block_tasks_[block].insert(task.id);
+  // The removals so far this round cannot affect the task; record how many
+  // there were.
+  if (removals_ > 0) {
+    late_tasks_[task.id] = removals_;
   }
 }
 
 void QuincyPolicy::OnTaskRemoved(const TaskDescriptor& task) {
-  if (locality_ == nullptr) {
+  if (removals_ == 0) {
     return;
   }
+  // Leaving before CollectDirty's scan: match against the removals it was
+  // present for now. CollectDirty still filters on the descriptor.
+  if (AffectedByRemovals(task)) {
+    pending_affected_tasks_.insert(task.id);
+  }
+  late_tasks_.erase(task.id);
+}
+
+void QuincyPolicy::ClearPendingRemovals() {
+  removals_ = 0;
+  removed_blocks_.clear();
+  late_tasks_.clear();
+  pending_affected_tasks_.clear();
+  pending_dirty_all_ = false;
+}
+
+bool QuincyPolicy::AffectedByRemovals(const TaskDescriptor& task) const {
+  auto late = late_tasks_.find(task.id);
+  const uint32_t since = late == late_tasks_.end() ? 0 : late->second;
   for (uint64_t block : task.input_blocks) {
-    auto it = block_tasks_.find(block);
-    if (it != block_tasks_.end()) {
-      it->second.erase(task.id);
-      if (it->second.empty()) {
-        block_tasks_.erase(it);
-      }
+    auto it = removed_blocks_.find(block);
+    if (it != removed_blocks_.end() && it->second > since) {
+      return true;
     }
   }
+  return false;
 }
 
 void QuincyPolicy::CollectDirty(const PolicyUpdate& update, PolicyDirtySink* sink) {
   if (update.full) {
     // The full refresh recomputes every task and drops the class cache;
     // pending removal marks are subsumed.
-    pending_affected_tasks_.clear();
-    pending_dirty_all_ = false;
+    ClearPendingRemovals();
     return;
   }
   // Machine *load* never feeds Quincy's costs (they are data-transfer
@@ -186,15 +198,27 @@ void QuincyPolicy::CollectDirty(const PolicyUpdate& update, PolicyDirtySink* sin
       sink->MarkAllTasks();
       sink->MarkAllEquivClasses();
     } else {
-      // Targeted invalidation via the block -> task reverse index: only
-      // tasks reading a block that lost a replica on the removed machine
-      // see different preference candidates or transfer costs. Their class
-      // entries are stale too (all tasks of a class share the same blocks,
-      // so marking the affected tasks covers each marked class's whole
-      // membership). Classes whose cached arcs pointed at the removed
-      // machine's node were already dropped by the manager's node-removal
-      // invalidation; this adds the ones whose costs moved without an arc
-      // to the machine itself.
+      // Targeted invalidation: only tasks reading a block that lost a
+      // replica on a removed machine see different preference candidates
+      // or transfer costs. One pass over the graph's tasks finds them
+      // (skipping, per task, the removals made before it was added). Their
+      // class entries are stale too (all tasks of a class share the same
+      // blocks, so marking the affected tasks covers each marked class's
+      // whole membership). Classes whose cached arcs pointed at the
+      // removed machine's node were already dropped by the manager's
+      // node-removal invalidation; this adds the ones whose costs moved
+      // without an arc to the machine itself.
+      if (removals_ > 0) {
+        manager_->ForEachTask([this](TaskId id) {
+          const TaskDescriptor* task = cluster_->FindTask(id);
+          if (task == nullptr) {
+            return;
+          }
+          if (AffectedByRemovals(*task)) {
+            pending_affected_tasks_.insert(id);
+          }
+        });
+      }
       for (TaskId task : pending_affected_tasks_) {
         if (!cluster_->HasTask(task)) {
           continue;  // completed since the removal
@@ -204,8 +228,7 @@ void QuincyPolicy::CollectDirty(const PolicyUpdate& update, PolicyDirtySink* sin
       }
     }
   }
-  pending_affected_tasks_.clear();
-  pending_dirty_all_ = false;
+  ClearPendingRemovals();
 }
 
 UnscheduledRamp QuincyPolicy::UnscheduledCostRamp(const TaskDescriptor& task) {
@@ -234,9 +257,12 @@ int64_t QuincyPolicy::MachineTransferCost(const TaskDescriptor& task, MachineId 
   if (locality_ == nullptr || task.input_size_bytes == 0) {
     return 0;
   }
-  RackId rack = cluster_->RackOf(machine);
-  int64_t on_machine = locality_->BytesOnMachine(task, machine);
-  int64_t in_rack = locality_->BytesInRack(task, rack);
+  return MachineCostForBytes(task, locality_->BytesOnMachine(task, machine),
+                             locality_->BytesInRack(task, cluster_->RackOf(machine)));
+}
+
+int64_t QuincyPolicy::MachineCostForBytes(const TaskDescriptor& task, int64_t on_machine,
+                                          int64_t in_rack) const {
   int64_t rack_remote = in_rack - on_machine;
   int64_t cluster_remote = task.input_size_bytes - in_rack;
   return CostForBytes(rack_remote, params_.cost_per_gb_in_rack) +
@@ -247,9 +273,12 @@ int64_t QuincyPolicy::RackTransferCost(const TaskDescriptor& task, RackId rack) 
   if (locality_ == nullptr || task.input_size_bytes == 0) {
     return 0;
   }
+  return RackCostForBytes(task, locality_->BytesInRack(task, rack));
+}
+
+int64_t QuincyPolicy::RackCostForBytes(const TaskDescriptor& task, int64_t in_rack) const {
   // Worst case within the rack: none of the rack-resident bytes are on the
   // chosen machine.
-  int64_t in_rack = locality_->BytesInRack(task, rack);
   int64_t cluster_remote = task.input_size_bytes - in_rack;
   return CostForBytes(in_rack, params_.cost_per_gb_in_rack) +
          CostForBytes(cluster_remote, params_.cost_per_gb_cross_rack);
@@ -286,25 +315,32 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
     return;
   }
 
+  // Every byte count below comes from one pass over the task's blocks.
+  locality_->ProfileInput(task, *cluster_, &profile_);
+  auto bytes_in_rack = [this](RackId rack) {
+    auto it = std::partition_point(profile_.racks.begin(), profile_.racks.end(),
+                                   [rack](const auto& entry) { return entry.first < rack; });
+    return it != profile_.racks.end() && it->first == rack ? it->second : 0;
+  };
+
   // Machine preference arcs: machines holding >= threshold of the input.
-  std::vector<MachineId> candidates;
-  locality_->CandidateMachines(task, &candidates);
   std::vector<ArcSpec> machine_arcs;
   std::vector<std::pair<int64_t, RackId>> rack_costs;  // deduped below
   std::vector<RackId> candidate_racks;
-  for (MachineId machine : candidates) {
+  for (const auto& [machine, on_machine] : profile_.machines) {
     if (!cluster_->machine(machine).alive) {
       continue;
     }
-    double fraction = static_cast<double>(locality_->BytesOnMachine(task, machine)) /
-                      static_cast<double>(task.input_size_bytes);
+    RackId rack = cluster_->RackOf(machine);
+    double fraction =
+        static_cast<double>(on_machine) / static_cast<double>(task.input_size_bytes);
     if (fraction >= params_.machine_preference_threshold) {
       NodeId node = manager_->NodeForMachine(machine);
       if (node != kInvalidNodeId) {
-        machine_arcs.push_back({node, 1, MachineTransferCost(task, machine), 0});
+        machine_arcs.push_back(
+            {node, 1, MachineCostForBytes(task, on_machine, bytes_in_rack(rack)), 0});
       }
     }
-    RackId rack = cluster_->RackOf(machine);
     if (std::find(candidate_racks.begin(), candidate_racks.end(), rack) ==
         candidate_racks.end()) {
       candidate_racks.push_back(rack);
@@ -319,10 +355,10 @@ void QuincyPolicy::EquivClassArcs(const TaskDescriptor& representative, SimTime 
 
   // Rack preference arcs: racks holding >= threshold of the input.
   for (RackId rack : candidate_racks) {
-    double fraction = static_cast<double>(locality_->BytesInRack(task, rack)) /
-                      static_cast<double>(task.input_size_bytes);
+    const int64_t in_rack = bytes_in_rack(rack);
+    double fraction = static_cast<double>(in_rack) / static_cast<double>(task.input_size_bytes);
     if (fraction >= params_.rack_preference_threshold) {
-      rack_costs.push_back({RackTransferCost(task, rack), rack});
+      rack_costs.push_back({RackCostForBytes(task, in_rack), rack});
     }
   }
   std::sort(rack_costs.begin(), rack_costs.end());

@@ -20,11 +20,10 @@
 // statistics never dirty anything here (costs are data-transfer prices, not
 // load); only topology changes fan out. A machine removal dirties exactly
 // the tasks whose preference arcs can move — those reading a block
-// replicated on the removed machine, found through the block -> task
-// reverse index fed by the locality source's reverse replica index
-// (DataLocalityInterface::BlocksOnMachine) — plus their equivalence
-// classes; locality sources without that index fall back to the old
-// dirty-everything behaviour.
+// replicated on the removed machine (DataLocalityInterface::BlocksOnMachine,
+// collected at removal and matched against the live tasks once at the next
+// round) — plus their equivalence classes; locality sources without that
+// reverse replica index fall back to the old dirty-everything behaviour.
 
 #ifndef SRC_CORE_QUINCY_POLICY_H_
 #define SRC_CORE_QUINCY_POLICY_H_
@@ -90,6 +89,14 @@ class QuincyPolicy : public SchedulingPolicy {
 
  private:
   static std::string RackKey(RackId rack) { return "rack:" + std::to_string(rack); }
+  // Transfer costs from byte counts (MachineTransferCost, RackTransferCost).
+  int64_t MachineCostForBytes(const TaskDescriptor& task, int64_t on_machine,
+                              int64_t in_rack) const;
+  int64_t RackCostForBytes(const TaskDescriptor& task, int64_t in_rack) const;
+  // Whether `task` reads a block listed by a removal this round made while
+  // the task was in the graph.
+  bool AffectedByRemovals(const TaskDescriptor& task) const;
+  void ClearPendingRemovals();
 
   const ClusterState* cluster_;
   const DataLocalityInterface* locality_;
@@ -99,16 +106,23 @@ class QuincyPolicy : public SchedulingPolicy {
   // Slot count each machine's aggregator arcs were last built from;
   // detects out-of-band spec edits arriving as stats-dirty marks.
   std::unordered_map<MachineId, int32_t> slots_seen_;
-  // Block -> live tasks reading it, maintained by the task lifecycle hooks.
-  // OnMachineRemoved resolves the removed machine's blocks through it
-  // (while the locality source still lists them) into the pending affected
-  // set, which CollectDirty turns into targeted task + class marks.
-  std::unordered_map<uint64_t, std::set<TaskId>> block_tasks_;
+  // Machine removals since the last round, resolved once in CollectDirty.
+  // A removal must dirty exactly the tasks in the graph when it happened
+  // that read one of the machine's blocks, so each removal gets a sequence
+  // number: removed_blocks_ maps a block to the latest removal listing it
+  // (collected while the locality source still lists the replicas), and
+  // late_tasks_ records, for a task added after some removals, how many it
+  // missed. A task leaving the graph before the round is matched on the
+  // spot into pending_affected_tasks_.
+  uint32_t removals_ = 0;
+  std::unordered_map<uint64_t, uint32_t> removed_blocks_;
+  std::unordered_map<TaskId, uint32_t> late_tasks_;
   std::set<TaskId> pending_affected_tasks_;
   // Fallback: the locality source cannot enumerate a machine's blocks, so
   // the next round must dirty every task (legacy behaviour).
   bool pending_dirty_all_ = false;
   std::vector<uint64_t> scratch_blocks_;
+  LocalityProfile profile_;  // EquivClassArcs scratch
   // Template fingerprint: XOR of per-(machine, rack) hashes over the alive
   // set — preference/fallback arcs route through machines and their rack
   // aggregators, so any topology change must move the fingerprint. The

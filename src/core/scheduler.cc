@@ -50,9 +50,9 @@ void FirmamentScheduler::RemoveMachine(MachineId machine, SimTime now,
     return;
   }
   // Locality-store ordering: the policy's OnMachineRemoved hook (inside the
-  // graph manager's removal) queries the machine's replicas to compute the
-  // affected task set, so the store must still list them when the hook
-  // runs. Callers pass their store notification as `on_removed`, which
+  // graph manager's removal) collects the machine's replicas, whose readers
+  // the next round dirties, so the store must still list them when the
+  // hook runs. Callers pass their store notification as `on_removed`, which
   // runs right after the hook — immediately here on the sync path, at
   // staged replay when a round is in flight.
   // A dead machine invalidates every template that places on it, eagerly —

@@ -6,6 +6,25 @@
 
 namespace firmament {
 
+namespace {
+
+// Sorts (key, bytes) pairs by key and merges equal keys by summing.
+template <typename Key>
+void SumByKey(std::vector<std::pair<Key, int64_t>>* entries) {
+  std::sort(entries->begin(), entries->end());
+  size_t kept = 0;
+  for (size_t i = 0; i < entries->size(); ++i) {
+    if (kept > 0 && (*entries)[kept - 1].first == (*entries)[i].first) {
+      (*entries)[kept - 1].second += (*entries)[i].second;
+    } else {
+      (*entries)[kept++] = (*entries)[i];
+    }
+  }
+  entries->resize(kept);
+}
+
+}  // namespace
+
 std::vector<uint64_t> BlockStore::AllocateInput(int64_t bytes) {
   std::vector<uint64_t> ids;
   const std::vector<MachineDescriptor>& machines = cluster_->machines();
@@ -92,6 +111,30 @@ void BlockStore::CandidateMachines(const TaskDescriptor& task,
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+void BlockStore::ProfileInput(const TaskDescriptor& task, const ClusterState& cluster,
+                              LocalityProfile* out) const {
+  (void)cluster;
+  out->machines.clear();
+  out->racks.clear();
+  for (uint64_t id : task.input_blocks) {
+    const Block& block = blocks_[id];
+    for (size_t r = 0; r < block.replicas.size(); ++r) {
+      const RackId rack = cluster_->RackOf(block.replicas[r]);
+      out->machines.push_back({block.replicas[r], block.size});
+      bool rack_seen = false;  // count each block once per rack
+      for (size_t q = 0; q < r && !rack_seen; ++q) {
+        rack_seen = cluster_->RackOf(block.replicas[q]) == rack;
+      }
+      if (!rack_seen) {
+        out->racks.push_back({rack, block.size});
+      }
+    }
+  }
+  // Ascending machine ids: CandidateMachines' order.
+  SumByKey(&out->machines);
+  SumByKey(&out->racks);
 }
 
 }  // namespace firmament

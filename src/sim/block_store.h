@@ -39,6 +39,10 @@ class BlockStore : public DataLocalityInterface {
   int64_t BytesOnMachine(const TaskDescriptor& task, MachineId machine) const override;
   int64_t BytesInRack(const TaskDescriptor& task, RackId rack) const override;
   void CandidateMachines(const TaskDescriptor& task, std::vector<MachineId>* out) const override;
+  // One pass over the task's blocks; racks come from the store's own
+  // cluster, as in BytesInRack, so `cluster` is unused.
+  void ProfileInput(const TaskDescriptor& task, const ClusterState& cluster,
+                    LocalityProfile* out) const override;
   bool BlocksOnMachine(MachineId machine, std::vector<uint64_t>* out) const override;
 
   size_t num_blocks() const { return blocks_.size(); }

@@ -27,6 +27,7 @@
 #include "src/core/quincy_policy.h"
 #include "src/core/scheduler.h"
 #include "src/sim/block_store.h"
+#include "src/solvers/cost_scaling.h"
 
 namespace firmament {
 namespace {
@@ -603,6 +604,153 @@ TEST(PolicyDeltaTest, QuincyMachineRemovalDirtiesOnlyAffectedTasks) {
                                 scheduler.graph_manager(), now, "after targeted removal");
 }
 
+// Quincy that also records the task and class marks its CollectDirty
+// hands the manager.
+class MarkRecordingQuincy : public QuincyPolicy {
+ public:
+  using QuincyPolicy::QuincyPolicy;
+
+  void CollectDirty(const PolicyUpdate& update, PolicyDirtySink* sink) override {
+    struct Tee : PolicyDirtySink {
+      Tee(PolicyDirtySink* inner, MarkRecordingQuincy* owner) : inner(inner), owner(owner) {}
+      void MarkTask(TaskId task) override {
+        owner->tasks.insert(task);
+        inner->MarkTask(task);
+      }
+      void MarkAllTasks() override {
+        owner->all = true;
+        inner->MarkAllTasks();
+      }
+      void MarkAggregator(NodeId agg) override { inner->MarkAggregator(agg); }
+      void MarkAggregatorMachine(NodeId agg, MachineId machine) override {
+        inner->MarkAggregatorMachine(agg, machine);
+      }
+      void MarkAllAggregators() override { inner->MarkAllAggregators(); }
+      void MarkEquivClass(EquivClass ec) override {
+        owner->classes.insert(ec);
+        inner->MarkEquivClass(ec);
+      }
+      void MarkAllEquivClasses() override {
+        owner->all = true;
+        inner->MarkAllEquivClasses();
+      }
+      PolicyDirtySink* inner;
+      MarkRecordingQuincy* owner;
+    } tee(sink, this);
+    QuincyPolicy::CollectDirty(update, &tee);
+  }
+
+  std::set<TaskId> tasks;
+  std::set<EquivClass> classes;
+  bool all = false;
+};
+
+// A machine removal marks exactly the tasks that were in the graph when it
+// happened and read a block replicated on the machine (minus those the
+// cluster has forgotten by the next round), plus their classes. Rounds mix
+// several removals with submissions (some reading the removed machines'
+// blocks) and task exits on both sides of each removal; the expected
+// marks come from a brute-force scan at each removal.
+TEST(PolicyDeltaTest, QuincyRemovalMarksTasksPresentAtRemoval) {
+  for (uint64_t seed : {3u, 4u, 5u}) {
+    ClusterState cluster;
+    BlockStore store(&cluster, seed);
+    MarkRecordingQuincy policy(&cluster, &store);
+    FlowGraphManager manager(&cluster, &policy);
+    for (int r = 0; r < 3; ++r) {
+      RackId rack = cluster.AddRack();
+      for (int m = 0; m < 6; ++m) {
+        manager.AddMachine(cluster.AddMachine(rack, MachineSpec{.slots = 4}));
+      }
+    }
+    Rng rng(seed);
+    // Shared inputs, so classes have several members and late submissions
+    // can read blocks of a machine removed earlier in the round.
+    std::vector<std::pair<int64_t, std::vector<uint64_t>>> inputs;
+    for (int i = 0; i < 12; ++i) {
+      int64_t bytes = rng.NextInt(300'000'000, 1'200'000'000);
+      inputs.push_back({bytes, store.AllocateInput(bytes)});
+    }
+    std::set<TaskId> in_graph;
+    SimTime now = 0;
+    size_t marked = 0;
+    for (int round = 0; round < 12; ++round) {
+      now += kSec;
+      std::set<TaskId> expected;
+      for (int event = 0; event < 8; ++event) {
+        double roll = rng.NextDouble();
+        if (roll < 0.5) {
+          const auto& [bytes, blocks] = inputs[rng.NextUint64(inputs.size())];
+          TaskDescriptor task;
+          task.submit_time = now;
+          task.input_size_bytes = bytes;
+          task.input_blocks = blocks;
+          JobId job = cluster.SubmitJob(JobType::kBatch, 0, now);
+          TaskId id = cluster.AddTaskToJob(job, task);
+          manager.AddTask(id, now);
+          in_graph.insert(id);
+        } else if (roll < 0.8 && !in_graph.empty()) {
+          // Withdraw a task; half of them stay known to the cluster.
+          auto it = in_graph.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(rng.NextUint64(in_graph.size())));
+          TaskId id = *it;
+          in_graph.erase(it);
+          cluster.WithdrawTask(id, now);
+          manager.RemoveTask(id);
+          if (rng.NextBool(0.5)) {
+            cluster.ForgetTask(id);
+          }
+        } else if (roll >= 0.8 && round % 3 != 2) {
+          std::vector<MachineId> alive;
+          for (const MachineDescriptor& machine : cluster.machines()) {
+            if (machine.alive) {
+              alive.push_back(machine.id);
+            }
+          }
+          if (alive.size() <= 6) {
+            continue;
+          }
+          MachineId victim = alive[rng.NextUint64(alive.size())];
+          std::vector<uint64_t> blocks;
+          ASSERT_TRUE(store.BlocksOnMachine(victim, &blocks));
+          std::set<uint64_t> lost(blocks.begin(), blocks.end());
+          for (TaskId id : in_graph) {
+            for (uint64_t block : cluster.task(id).input_blocks) {
+              if (lost.count(block) != 0) {
+                expected.insert(id);
+                break;
+              }
+            }
+          }
+          manager.RemoveMachine(victim);
+          cluster.RemoveMachine(victim);
+          store.OnMachineRemoved(victim);
+        }
+      }
+      std::set<EquivClass> expected_classes;
+      for (auto it = expected.begin(); it != expected.end();) {
+        if (!cluster.HasTask(*it)) {
+          it = expected.erase(it);
+          continue;
+        }
+        expected_classes.insert(policy.TaskEquivClass(cluster.task(*it)));
+        ++it;
+      }
+      policy.tasks.clear();
+      policy.classes.clear();
+      manager.UpdateRound(now);
+      manager.ValidateIntegrity();
+      const std::string context = "seed " + std::to_string(seed) + " round " +
+                                  std::to_string(round);
+      EXPECT_FALSE(policy.all) << context;
+      EXPECT_EQ(policy.tasks, expected) << context;
+      EXPECT_EQ(policy.classes, expected_classes) << context;
+      marked += expected.size();
+    }
+    EXPECT_GT(marked, 0u) << "seed " << seed;
+  }
+}
+
 // Repeated identical-job bursts must cost one EquivClassArcs call per class
 // *ever*: the first burst computes the entry, every later burst (and every
 // placement-driven refresh) rides the cross-round cache.
@@ -1034,6 +1182,104 @@ TEST(ScopedExtractionFuzz, LoadSpreadingMatchesFullExtraction) {
     FuzzScopedExtraction(Policy::kLoadSpreading, SolverMode::kCostScalingOnly, seed);
   }
   FuzzScopedExtraction(Policy::kLoadSpreading, SolverMode::kRace, 804);
+}
+
+// ---------------------------------------------------------------------------
+// Journal identity: the exact graph edit stream of a scripted run
+// ---------------------------------------------------------------------------
+
+// Drives the manager through submissions, cost-scaling placements,
+// completions and one machine removal (followed, in the same round, by
+// completions and a submission), and hashes every GraphChange in order.
+// Equal digests mean the same edits in the same order: the same arc ids,
+// so the same solver tie-breaks and the same placements.
+uint64_t JournalDigest(Policy kind) {
+  ClusterState cluster;
+  std::unique_ptr<BlockStore> store;
+  if (kind == Policy::kQuincyWithLocality) {
+    store = std::make_unique<BlockStore>(&cluster, 31);
+  }
+  std::unique_ptr<SchedulingPolicy> policy = MakePolicy(kind, &cluster, store.get());
+  FlowGraphManager manager(&cluster, policy.get());
+  CostScaling solver;
+  Rng rng(37);
+  for (int r = 0; r < 3; ++r) {
+    RackId rack = cluster.AddRack();
+    for (int m = 0; m < 5; ++m) {
+      manager.AddMachine(cluster.AddMachine(rack, MachineSpec{.slots = 3}));
+    }
+  }
+  SimTime now = 0;
+  for (int round = 0; round < 12; ++round) {
+    now += kSec;
+    if (round == 6) {
+      MachineId victim = 4;
+      for (TaskId task : cluster.RunningTasksOn(victim)) {
+        cluster.EvictTask(task, now);
+      }
+      manager.RemoveMachine(victim);
+      cluster.RemoveMachine(victim);
+      if (store != nullptr) {
+        store->OnMachineRemoved(victim);
+      }
+    }
+    std::vector<TaskId> running;
+    for (TaskId task : cluster.LiveTasks()) {
+      if (cluster.task(task).state == TaskState::kRunning) {
+        running.push_back(task);
+      }
+    }
+    for (int i = 0; i < 2 && !running.empty(); ++i) {
+      size_t pick = rng.NextUint64(running.size());
+      cluster.CompleteTask(running[pick], now);
+      manager.RemoveTask(running[pick]);
+      cluster.ForgetTask(running[pick]);
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    JobId job = cluster.SubmitJob(JobType::kBatch, 0, now);
+    for (int64_t i = rng.NextInt(2, 5); i > 0; --i) {
+      TaskDescriptor task;
+      task.runtime = 100 * kSec;
+      task.submit_time = now;
+      if (store != nullptr) {
+        task.input_size_bytes = rng.NextInt(300'000'000, 1'500'000'000);
+        task.input_blocks = store->AllocateInput(task.input_size_bytes);
+      }
+      manager.AddTask(cluster.AddTaskToJob(job, task), now);
+    }
+    manager.UpdateRound(now);
+    EXPECT_EQ(solver.Solve(manager.network()).outcome, SolveOutcome::kOptimal);
+    std::vector<std::pair<TaskId, MachineId>> placements = ExtractPlacements(manager).placements;
+    std::sort(placements.begin(), placements.end());
+    for (const auto& [task, machine] : placements) {
+      if (machine != kInvalidMachineId) {
+        cluster.PlaceTask(task, machine, now);  // no-op for running tasks
+      }
+    }
+  }
+  manager.ValidateIntegrity();
+  uint64_t hash = 1469598103934665603ull;
+  for (const GraphChange& change : manager.network()->Changes()) {
+    for (uint64_t field : {static_cast<uint64_t>(change.kind), uint64_t{change.id},
+                           static_cast<uint64_t>(change.old_value),
+                           static_cast<uint64_t>(change.new_value)}) {
+      hash = (hash ^ field) * 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// The digests below were recorded from the graph manager before its class
+// index and task arc lists went flat and Quincy's locality pricing became
+// one pass; those changes must not move a single graph edit. A constant
+// here changes only together with a CHANGES.md line saying why the graph
+// edits changed.
+TEST(JournalIdentityPin, QuincyWithLocality) {
+  EXPECT_EQ(JournalDigest(Policy::kQuincyWithLocality), 0x2df5ca9747c5420full);
+}
+
+TEST(JournalIdentityPin, LoadSpreading) {
+  EXPECT_EQ(JournalDigest(Policy::kLoadSpreading), 0x90ef95225a302271ull);
 }
 
 }  // namespace

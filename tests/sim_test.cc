@@ -2,10 +2,14 @@
 // network model, baseline placers, and the end-to-end event simulator.
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/baselines/task_placers.h"
+#include "src/core/flow_graph_manager.h"
 #include "src/core/load_spreading_policy.h"
 #include "src/core/quincy_policy.h"
 #include "src/sim/block_store.h"
@@ -66,6 +70,129 @@ TEST(BlockStoreTest, MachineRemovalDropsReplicas) {
   task.input_blocks = store.AllocateInput(5000);
   store.OnMachineRemoved(2);
   EXPECT_EQ(store.BytesOnMachine(task, 2), 0);
+}
+
+// Random stores: racks, machines, block size and replication vary, and one
+// task reads a block twice.
+struct RandomStore {
+  ClusterState cluster;
+  std::unique_ptr<BlockStore> store;
+  std::vector<TaskDescriptor> tasks;
+
+  explicit RandomStore(uint64_t seed) {
+    Rng rng(seed);
+    const int racks = static_cast<int>(rng.NextInt(2, 5));
+    BuildCluster(&cluster, racks, static_cast<int>(rng.NextInt(2, 6)), {});
+    store = std::make_unique<BlockStore>(&cluster, seed, rng.NextInt(50, 200),
+                                         static_cast<int>(rng.NextInt(1, 4)));
+    for (int i = 0; i < 30; ++i) {
+      TaskDescriptor task;
+      task.id = static_cast<TaskId>(i);
+      task.input_size_bytes = rng.NextInt(1, 1'500);
+      task.input_blocks = store->AllocateInput(task.input_size_bytes);
+      tasks.push_back(task);
+    }
+    tasks.back().input_blocks.push_back(tasks.back().input_blocks.front());
+  }
+
+  MachineId PickAliveMachine(Rng* rng) const {
+    MachineId machine;
+    do {
+      machine = static_cast<MachineId>(rng->NextUint64(cluster.machines().size()));
+    } while (!cluster.machine(machine).alive);
+    return machine;
+  }
+};
+
+// BlockStore's one-pass ProfileInput must return exactly what the default
+// composition of BytesOnMachine / BytesInRack / CandidateMachines does,
+// also after machine removals dropped replicas.
+TEST(BlockStoreTest, ProfileInputMatchesComposedQueries) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RandomStore env(seed);
+    Rng rng(seed + 100);
+    for (int removals = 0; removals < 3; ++removals) {
+      for (const TaskDescriptor& task : env.tasks) {
+        LocalityProfile got;
+        LocalityProfile want;
+        env.store->ProfileInput(task, env.cluster, &got);
+        env.store->DataLocalityInterface::ProfileInput(task, env.cluster, &want);
+        EXPECT_EQ(got.machines, want.machines) << "seed " << seed << " task " << task.id;
+        EXPECT_EQ(got.racks, want.racks) << "seed " << seed << " task " << task.id;
+      }
+      MachineId victim = env.PickAliveMachine(&rng);
+      env.cluster.RemoveMachine(victim);
+      env.store->OnMachineRemoved(victim);
+    }
+  }
+}
+
+// Forwards the three byte queries and the replica index, but keeps the
+// default (composed) ProfileInput.
+class ForwardingLocality : public DataLocalityInterface {
+ public:
+  explicit ForwardingLocality(const DataLocalityInterface* inner) : inner_(inner) {}
+  int64_t BytesOnMachine(const TaskDescriptor& task, MachineId machine) const override {
+    return inner_->BytesOnMachine(task, machine);
+  }
+  int64_t BytesInRack(const TaskDescriptor& task, RackId rack) const override {
+    return inner_->BytesInRack(task, rack);
+  }
+  void CandidateMachines(const TaskDescriptor& task, std::vector<MachineId>* out) const override {
+    inner_->CandidateMachines(task, out);
+  }
+  bool BlocksOnMachine(MachineId machine, std::vector<uint64_t>* out) const override {
+    return inner_->BlocksOnMachine(machine, out);
+  }
+
+ private:
+  const DataLocalityInterface* inner_;
+};
+
+std::vector<std::tuple<NodeId, int64_t, int64_t, int32_t>> ClassArcs(QuincyPolicy* policy,
+                                                                    const TaskDescriptor& task) {
+  std::vector<ArcSpec> specs;
+  policy->EquivClassArcs(task, 0, &specs);
+  std::vector<std::tuple<NodeId, int64_t, int64_t, int32_t>> arcs;
+  for (const ArcSpec& spec : specs) {
+    arcs.emplace_back(spec.dst, spec.capacity, spec.cost, spec.rank);
+  }
+  return arcs;
+}
+
+// Quincy's class arcs priced from BlockStore's one-pass profile must equal
+// those priced from the composed queries: same arcs, costs and order, at
+// the default preference threshold and at Fig. 15's extreme 2%.
+TEST(QuincyPolicyTest, ClassArcsMatchUnderComposedLocality) {
+  for (double threshold : {0.14, 0.02}) {
+    QuincyPolicyParams params;
+    params.machine_preference_threshold = threshold;
+    params.rack_preference_threshold = threshold;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      RandomStore env(seed);
+      ForwardingLocality composed(env.store.get());
+      QuincyPolicy one_pass_policy(&env.cluster, env.store.get(), params);
+      QuincyPolicy composed_policy(&env.cluster, &composed, params);
+      FlowGraphManager one_pass(&env.cluster, &one_pass_policy);
+      FlowGraphManager reference(&env.cluster, &composed_policy);
+      for (const MachineDescriptor& machine : env.cluster.machines()) {
+        one_pass.AddMachine(machine.id);
+        reference.AddMachine(machine.id);
+      }
+      Rng rng(seed + 200);
+      for (int removals = 0; removals < 3; ++removals) {
+        for (const TaskDescriptor& task : env.tasks) {
+          EXPECT_EQ(ClassArcs(&one_pass_policy, task), ClassArcs(&composed_policy, task))
+              << "threshold " << threshold << " seed " << seed << " task " << task.id;
+        }
+        MachineId victim = env.PickAliveMachine(&rng);
+        one_pass.RemoveMachine(victim);
+        reference.RemoveMachine(victim);
+        env.cluster.RemoveMachine(victim);
+        env.store->OnMachineRemoved(victim);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
