@@ -34,6 +34,8 @@ NAMES = [
     "fig21/replay/machines:1000/1000/iterations:1/manual_time",
     "fig21/parse_throughput/iterations:1/manual_time",
     "fig22/centralized/iterations:8/manual_time",
+    "fig22/federated/1/iterations:8/manual_time",
+    "fig22/federated/2/iterations:8/manual_time",
     "fig22/federated/4/iterations:8/manual_time",
     "fig22/summary",
 ]
@@ -221,6 +223,37 @@ class RemovalWorkCounters(unittest.TestCase):
                 row.pop(gate.key, None)
             with self.subTest(gate=gate):
                 self.assertTrue(bg.check(gate, [doc(gate, 1.0)], baseline, 4)[0])
+
+
+class FederatedRoundCounters(unittest.TestCase):
+    gates = [g for g in bg.GATES if g.key in ("cell_rounds_run", "cell_rounds_skipped")]
+    # Recorded (run, skipped) per cell count.
+    BASELINE = {"1": (9, 0), "2": (16, 2), "4": (22, 14)}
+
+    def docs(self, gate, bump=None):
+        """One run of the three federated series at the recorded counts,
+        with `bump` (a cell count) one round off."""
+        rows = []
+        for cells, counts in self.BASELINE.items():
+            value = counts[0 if gate.key == "cell_rounds_run" else 1]
+            rows.append({"name": f"fig22/federated/{cells}/iterations:8/manual_time",
+                         "real_time": 1.0, "time_unit": "ms",
+                         gate.key: value + (1 if cells == bump else 0)})
+        return {"benchmarks": rows}
+
+    def test_both_counters_gated_on_federated_series_only(self):
+        self.assertEqual(len(self.gates), 2)
+        for gate in self.gates:
+            names = [n for n in NAMES if bg.re.search(gate.series, n)]
+            self.assertEqual(names, [n for n in NAMES if n.startswith("fig22/federated/")])
+
+    def test_any_cell_count_one_round_off_fails(self):
+        for gate in self.gates:
+            baseline = self.docs(gate)
+            with self.subTest(gate=gate):
+                self.assertEqual(bg.check(gate, [self.docs(gate)], baseline, 4)[0], [])
+                for cells in self.BASELINE:
+                    self.assertTrue(bg.check(gate, [self.docs(gate, cells)], baseline, 4)[0])
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
 
   # Federation leg: the coordinator's route tables (task/job/machine) and
   # the per-cell schedulers' caches cross round and cell boundaries on
-  # every spill/rebalance move — exactly where a stale local id would read
+  # every cross-cell job move — exactly where a stale local id would read
   # freed cell state. ASan proves the move/withdraw/resubmit paths clean,
   # including the whole-cell rack-death storm.
   ./build-asan/federation_test

@@ -182,8 +182,11 @@ void ClusterState::RefreshStatistics() {
     machine.running_tasks = 0;
     machine.used_bandwidth_mbps = 0;
   }
+  num_waiting_tasks_ = 0;
   for (const auto& [id, task] : tasks_) {
-    if (task.state == TaskState::kRunning) {
+    if (task.state == TaskState::kWaiting) {
+      ++num_waiting_tasks_;
+    } else if (task.state == TaskState::kRunning) {
       MachineDescriptor& machine = machines_[task.machine];
       machine.running_tasks += 1;
       machine.used_bandwidth_mbps += task.bandwidth_request_mbps;

@@ -135,7 +135,7 @@ class ClusterState {
   bool EvictTask(TaskId task, SimTime now);
   bool CompleteTask(TaskId task, SimTime now);
   // Retires a *waiting* task (kWaiting -> kCompleted) without ever running
-  // it: the federation coordinator's spill/rebalance path withdraws a job
+  // it: the federation coordinator's move pass withdraws a job
   // from one cell to resubmit it in another. No machine statistics to
   // unwind; the terminal state lets the standard staged-completion replay
   // (graph RemoveTask + ForgetTask) retire it unmodified.
@@ -148,9 +148,9 @@ class ClusterState {
   std::vector<TaskId> LiveTasks() const;
   std::vector<TaskId> RunningTasksOn(MachineId machine) const;
 
-  // Recomputes per-machine statistics from task state from scratch. The
-  // statistics are maintained incrementally by PlaceTask/EvictTask/
-  // CompleteTask, so this is only needed to repair out-of-band corruption or
+  // Recomputes per-machine statistics and the waiting count from task state
+  // from scratch. Both are maintained incrementally by the lifecycle
+  // methods, so this is only needed to repair out-of-band corruption or
   // to time the legacy full-refresh path; it does not mark anything dirty
   // (it converges to the same values the incremental path maintains).
   void RefreshStatistics();

@@ -1,6 +1,7 @@
 #include "src/core/flow_graph_manager.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/base/check.h"
 
@@ -214,18 +215,17 @@ void FlowGraphManager::PurgeArcsTo(NodeId node) {
   }
 }
 
-void FlowGraphManager::EraseArcsTo(ArcMap* arcs, NodeId dst) {
-  auto it = arcs->lower_bound(ArcKey{dst, std::numeric_limits<int32_t>::min()});
-  while (it != arcs->end() && it->first.first == dst) {
-    it = arcs->erase(it);
-  }
-}
-
-void FlowGraphManager::EraseArcsTo(ArcList* arcs, NodeId dst) {
+std::pair<FlowGraphManager::ArcList::iterator, FlowGraphManager::ArcList::iterator>
+FlowGraphManager::ArcsTo(ArcList* arcs, NodeId dst) {
   auto first = std::partition_point(arcs->begin(), arcs->end(),
                                     [dst](const auto& entry) { return entry.first.first < dst; });
   auto last = std::partition_point(first, arcs->end(),
                                    [dst](const auto& entry) { return entry.first.first == dst; });
+  return {first, last};
+}
+
+void FlowGraphManager::EraseArcsTo(ArcList* arcs, NodeId dst) {
+  auto [first, last] = ArcsTo(arcs, dst);
   arcs->erase(first, last);
 }
 
@@ -369,96 +369,114 @@ void FlowGraphManager::DrainTaskFlow(NodeId task_node) {
 
 void FlowGraphManager::DiffArcs(NodeId src, const std::vector<ArcSpec>& desired,
                                 ArcList* current) {
-  // `current` is sorted by key; a reused arc's slot is set to kInvalidArcId,
-  // which also marks a repeated key as a duplicate.
-  ArcList& updated = scratch_arcs_;
-  updated.clear();
-  for (const ArcSpec& spec : desired) {
-    const ArcKey key{spec.dst, spec.rank};
-    auto it = std::partition_point(current->begin(), current->end(),
-                                   [&key](const auto& entry) { return entry.first < key; });
-    if (it != current->end() && it->first == key) {
-      if (it->second == kInvalidArcId) {
-        continue;  // duplicate (destination, rank): first wins
-      }
-      network_.SetArcCost(it->second, spec.cost);
-      network_.SetArcCapacity(it->second, spec.capacity);
-      updated.push_back({key, it->second});
-      it->second = kInvalidArcId;
+  // Pair every spec with the current arc of its key in one merge over key
+  // order: `order` sorts the spec indices by (key, index), so the first of
+  // duplicate keys comes first and wins. That keeps the per-spec work at
+  // O(log n) for an aggregator's cluster-wide list as well.
+  const auto key_of = [&desired](uint32_t i) { return ArcKey{desired[i].dst, desired[i].rank}; };
+  std::vector<uint32_t>& order = scratch_order_;
+  order.resize(desired.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&key_of](uint32_t a, uint32_t b) {
+    return std::pair(key_of(a), a) < std::pair(key_of(b), b);
+  });
+  // Per spec: the arc it reuses (kInvalidArcId: a new key), or
+  // kDuplicateArc to skip it. A reused arc's slot in `current` is cleared.
+  constexpr ArcId kDuplicateArc = kInvalidArcId - 1;
+  std::vector<ArcId>& arc_of = scratch_arc_of_;
+  arc_of.assign(desired.size(), kInvalidArcId);
+  auto cur = current->begin();
+  for (size_t k = 0; k < order.size(); ++k) {
+    const ArcKey key = key_of(order[k]);
+    if (k > 0 && key_of(order[k - 1]) == key) {
+      arc_of[order[k]] = kDuplicateArc;
       continue;
     }
-    // A new key: duplicates can only be among the arcs added so far (task
-    // arc sets are tens long, so a scan beats a map).
-    if (std::any_of(updated.begin(), updated.end(),
-                    [&key](const auto& entry) { return entry.first == key; })) {
+    while (cur != current->end() && cur->first < key) {
+      ++cur;
+    }
+    if (cur != current->end() && cur->first == key) {
+      arc_of[order[k]] = cur->second;
+      cur->second = kInvalidArcId;
+    }
+  }
+  // Graph calls in `desired` order, then removals of the unused arcs in key
+  // order.
+  for (size_t i = 0; i < desired.size(); ++i) {
+    const ArcSpec& spec = desired[i];
+    if (arc_of[i] == kDuplicateArc) {
       continue;
     }
-    updated.push_back({key, network_.AddArc(src, spec.dst, spec.capacity, spec.cost)});
+    if (arc_of[i] == kInvalidArcId) {
+      arc_of[i] = network_.AddArc(src, spec.dst, spec.capacity, spec.cost);
+    } else {
+      network_.SetArcCost(arc_of[i], spec.cost);
+      network_.SetArcCapacity(arc_of[i], spec.capacity);
+    }
   }
   for (const auto& [key, arc] : *current) {
     if (arc != kInvalidArcId) {
       network_.RemoveArc(arc);
     }
   }
-  std::sort(updated.begin(), updated.end());
-  current->swap(updated);
+  current->clear();
+  for (uint32_t i : order) {
+    if (arc_of[i] != kDuplicateArc) {
+      current->push_back({key_of(i), arc_of[i]});
+    }
+  }
 }
 
-void FlowGraphManager::DiffArcs(NodeId src, const std::vector<ArcSpec>& desired,
-                                ArcMap* current) {
-  ArcMap updated;
-  for (const ArcSpec& spec : desired) {
-    ArcKey key{spec.dst, spec.rank};
-    if (updated.count(key) != 0) {
-      continue;  // duplicate (destination, rank): first wins
+void FlowGraphManager::RefreshAggregatorSlices(AggregatorInfo* info,
+                                               MachineMarks::const_iterator first,
+                                               MachineMarks::const_iterator last) {
+  // Each marked machine's (dst, *) slice is diffed alone, in mark order, so
+  // arcs towards other destinations are not touched. The new slices are
+  // spliced in by one merge at the end: a round's machine-granular updates
+  // cost one pass over the list rather than a shift per resized slice.
+  ArcList& arcs = info->arcs;
+  ArcList& resized = scratch_resized_;  // new slice contents, back to back
+  resized.clear();
+  std::vector<SliceSplice>& splices = scratch_splices_;
+  splices.clear();
+  for (auto it = first; it != last; ++it) {
+    auto node_it = machine_to_node_.find(it->second);
+    if (node_it == machine_to_node_.end()) {
+      continue;  // machine removed since marking
     }
-    auto it = current->find(key);
-    if (it != current->end()) {
-      ArcId arc = it->second;
-      network_.SetArcCost(arc, spec.cost);
-      network_.SetArcCapacity(arc, spec.capacity);
-      updated.emplace(key, arc);
-      current->erase(it);
-    } else {
-      updated.emplace(key, network_.AddArc(src, spec.dst, spec.capacity, spec.cost));
+    const NodeId dst = node_it->second;
+    scratch_specs_.clear();
+    policy_->AggregatorMachineArcs(info->node, it->second, &scratch_specs_);
+    for (const ArcSpec& spec : scratch_specs_) {
+      DCHECK_EQ(spec.dst, dst);
     }
+    auto [lo, hi] = ArcsTo(&arcs, dst);
+    ArcList& slice = scratch_slice_;
+    slice.assign(lo, hi);
+    DiffArcs(info->node, scratch_specs_, &slice);
+    const size_t resized_first = resized.size();
+    resized.insert(resized.end(), slice.begin(), slice.end());
+    splices.push_back({dst, static_cast<size_t>(lo - arcs.begin()),
+                       static_cast<size_t>(hi - arcs.begin()), resized_first, resized.size()});
   }
-  for (const auto& [key, arc] : *current) {
-    network_.RemoveArc(arc);
+  if (splices.empty()) {
+    return;
   }
-  *current = std::move(updated);
-}
-
-void FlowGraphManager::DiffArcsTo(NodeId src, NodeId dst, const std::vector<ArcSpec>& desired,
-                                  ArcMap* current) {
-  // Extract the (dst, *) slice; arcs towards other destinations are not
-  // touched — this is what makes machine-granular aggregator updates cheap.
-  ArcMap slice;
-  auto it = current->lower_bound(ArcKey{dst, std::numeric_limits<int32_t>::min()});
-  while (it != current->end() && it->first.first == dst) {
-    slice.insert(*it);
-    it = current->erase(it);
+  // A slice is the run of one destination in a list sorted by destination,
+  // so destination order is list order.
+  std::sort(splices.begin(), splices.end(),
+            [](const SliceSplice& a, const SliceSplice& b) { return a.dst < b.dst; });
+  ArcList& merged = scratch_merged_;
+  merged.clear();
+  size_t pos = 0;
+  for (const SliceSplice& splice : splices) {
+    merged.insert(merged.end(), arcs.begin() + pos, arcs.begin() + splice.old_first);
+    merged.insert(merged.end(), resized.begin() + splice.resized_first,
+                  resized.begin() + splice.resized_last);
+    pos = splice.old_last;
   }
-  for (const ArcSpec& spec : desired) {
-    DCHECK_EQ(spec.dst, dst);
-    ArcKey key{spec.dst, spec.rank};
-    if (current->count(key) != 0) {
-      continue;  // duplicate (destination, rank) within `desired`: first wins
-    }
-    auto slice_it = slice.find(key);
-    if (slice_it != slice.end()) {
-      ArcId arc = slice_it->second;
-      network_.SetArcCost(arc, spec.cost);
-      network_.SetArcCapacity(arc, spec.capacity);
-      current->emplace(key, arc);
-      slice.erase(slice_it);
-    } else {
-      current->emplace(key, network_.AddArc(src, spec.dst, spec.capacity, spec.cost));
-    }
-  }
-  for (const auto& [key, arc] : slice) {
-    network_.RemoveArc(arc);
-  }
+  merged.insert(merged.end(), arcs.begin() + pos, arcs.end());
+  arcs.swap(merged);
 }
 
 size_t FlowGraphManager::ValidateIntegrity() const {
@@ -485,6 +503,12 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
       fail(what);
     }
     return ok;
+  };
+  // Every arc list lookup is a binary search over unique, sorted keys.
+  auto keys_increase = [](const ArcList& arcs) {
+    return std::adjacent_find(arcs.begin(), arcs.end(), [](const auto& a, const auto& b) {
+             return !(a.first < b.first);
+           }) == arcs.end();
   };
 
   expect(network_.IsValidNode(sink_) && network_.Kind(sink_) == NodeKind::kSink,
@@ -529,6 +553,7 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
                  network_.Dst(arc) == key.first,
              (who + ": tracked arc invalid or mis-wired").c_str());
     }
+    expect(keys_increase(info.arcs), (who + ": arc keys out of order").c_str());
     ++task_nodes;
     ++verified;
   }
@@ -548,6 +573,7 @@ size_t FlowGraphManager::CheckIntegrity(std::vector<std::string>* violations) co
                  network_.Dst(arc) == arc_key.first,
              (who + ": tracked arc invalid or mis-wired").c_str());
     }
+    expect(keys_increase(info.arcs), (who + ": arc keys out of order").c_str());
     ++verified;
   }
   for (const auto& [job, info] : job_info_) {
@@ -810,17 +836,18 @@ void FlowGraphManager::UpdateRound(SimTime now, RefreshMode mode) {
         RefreshAggregator(&aggregators_[node_to_aggregator_.at(agg)]);
       }
     }
-    for (const auto& [agg, machine] : marks_.aggregator_machines) {
-      if (marks_.aggregators.count(agg) != 0) {
-        continue;  // the full recompute above already covers this slice
+    // The marks are ordered by aggregator: one slice refresh per aggregator.
+    const MachineMarks& marked = marks_.aggregator_machines;
+    for (auto first = marked.begin(); first != marked.end();) {
+      const NodeId agg = first->first;
+      auto last = std::find_if(first, marked.end(),
+                               [agg](const auto& mark) { return mark.first != agg; });
+      // Skipped when the full recompute above already covers the slices, or
+      // when the aggregator drained since marking.
+      if (marks_.aggregators.count(agg) == 0 && node_to_aggregator_.count(agg) != 0) {
+        RefreshAggregatorSlices(&aggregators_[node_to_aggregator_.at(agg)], first, last);
       }
-      if (node_to_aggregator_.count(agg) == 0 || machine_to_node_.count(machine) == 0) {
-        continue;  // aggregator drained or machine removed since marking
-      }
-      scratch_specs_.clear();
-      policy_->AggregatorMachineArcs(agg, machine, &scratch_specs_);
-      DiffArcsTo(agg, machine_to_node_.at(machine), scratch_specs_,
-                 &aggregators_[node_to_aggregator_.at(agg)].arcs);
+      first = last;
     }
   }
 

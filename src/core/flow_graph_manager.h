@@ -29,8 +29,6 @@
 #define SRC_CORE_FLOW_GRAPH_MANAGER_H_
 
 #include <functional>
-#include <limits>
-#include <map>
 #include <queue>
 #include <set>
 #include <string>
@@ -179,13 +177,11 @@ class FlowGraphManager {
   bool HasAggregator(const std::string& key) const { return aggregators_.count(key) != 0; }
 
  private:
-  // Outgoing policy arcs keyed by (destination, parallel-arc rank). A task
-  // has tens of them at most and rewrites them all on every refresh, so it
-  // keeps a flat list sorted by key; aggregators fan out to whole racks or
-  // the cluster and take machine-granular slice updates (DiffArcsTo), so
-  // they keep an ordered map.
+  // Outgoing policy arcs keyed by (destination, parallel-arc rank), as a
+  // flat list sorted by key. A task holds tens of them; an aggregator fans
+  // out to a whole rack or the cluster and also takes machine-granular
+  // slice updates (RefreshAggregatorSlices).
   using ArcKey = std::pair<NodeId, int32_t>;
-  using ArcMap = std::map<ArcKey, ArcId>;
   using ArcList = std::vector<std::pair<ArcKey, ArcId>>;
 
   struct TaskInfo {
@@ -210,7 +206,7 @@ class FlowGraphManager {
   struct AggregatorInfo {
     NodeId node = kInvalidNodeId;
     std::string key;
-    ArcMap arcs;
+    ArcList arcs;  // sorted by key
   };
   // A cached class's shared arc specs, and the slot of each spec's entry
   // in ec_dst_index_[spec.dst].
@@ -226,6 +222,8 @@ class FlowGraphManager {
     uint32_t spec;
   };
 
+  // Marked (aggregator, machine) slices, ordered by aggregator.
+  using MachineMarks = std::set<std::pair<NodeId, MachineId>>;
   // The PolicyDirtySink handed to SchedulingPolicy::CollectDirty; collects
   // ordered dirty marks for one round.
   struct DirtyMarks : public PolicyDirtySink {
@@ -250,7 +248,7 @@ class FlowGraphManager {
 
     std::set<TaskId> tasks;
     std::set<NodeId> aggregators;
-    std::set<std::pair<NodeId, MachineId>> aggregator_machines;
+    MachineMarks aggregator_machines;
     std::set<EquivClass> equiv_classes;
     bool all_tasks = false;
     bool all_aggregators = false;
@@ -258,21 +256,20 @@ class FlowGraphManager {
   };
 
   // Replaces `current` arcs from `src` with `desired`, reusing arcs whose
-  // destination is unchanged (cost/capacity updates instead of re-adds).
-  // Both overloads make the same graph calls in the same order: `desired`
-  // order (the first of duplicate keys wins), then removals of the unused
-  // arcs in key order.
+  // key is unchanged (cost/capacity updates instead of re-adds). Graph calls
+  // come in `desired` order (the first of duplicate keys wins), then
+  // removals of the unused arcs in key order.
   void DiffArcs(NodeId src, const std::vector<ArcSpec>& desired, ArcList* current);
-  void DiffArcs(NodeId src, const std::vector<ArcSpec>& desired, ArcMap* current);
-  // Like DiffArcs but restricted to arcs towards `dst`: desired entries must
-  // all target `dst`, and `current` entries towards other destinations are
-  // left untouched (machine-granular aggregator updates).
-  void DiffArcsTo(NodeId src, NodeId dst, const std::vector<ArcSpec>& desired, ArcMap* current);
   // Recomputes one task's arcs (class cache + task-specific) and its
   // unscheduled-cost ramp at `now`, applying them to the graph in place.
   void RefreshTask(TaskId task_id, SimTime now);
   // Recomputes one aggregator's full arc set.
   void RefreshAggregator(AggregatorInfo* info);
+  // Recomputes one aggregator's arcs towards each machine in [first, last)
+  // (marks of this aggregator), diffing each machine's slice with DiffArcs
+  // and leaving arcs towards other destinations untouched.
+  void RefreshAggregatorSlices(AggregatorInfo* info, MachineMarks::const_iterator first,
+                               MachineMarks::const_iterator last);
 
   // Unscheduled cost of `task` under `info`'s ramp at `now`.
   static int64_t RampCost(const UnscheduledRamp& ramp, const TaskDescriptor& task, SimTime now);
@@ -291,8 +288,9 @@ class FlowGraphManager {
   // equivalence class whose arcs reference it (the node id may be recycled;
   // a stale cached ArcSpec would re-target the recycled node).
   void PurgeArcsTo(NodeId node);
-  // Drops every (dst, rank) entry pointing at `dst` from an arc map/list.
-  static void EraseArcsTo(ArcMap* arcs, NodeId dst);
+  // The run of (dst, rank) entries pointing at `dst` in a sorted arc list,
+  // and its removal.
+  static std::pair<ArcList::iterator, ArcList::iterator> ArcsTo(ArcList* arcs, NodeId dst);
   static void EraseArcsTo(ArcList* arcs, NodeId dst);
   // Erases one class from the cross-round cache (and the dst index).
   void InvalidateClass(EquivClass ec);
@@ -366,7 +364,20 @@ class FlowGraphManager {
   std::priority_queue<RampEntry, std::vector<RampEntry>, std::greater<RampEntry>> ramp_heap_;
 
   std::vector<ArcSpec> scratch_specs_;
-  ArcList scratch_arcs_;  // DiffArcs' next arc list
+  // DiffArcs' spec order and per-spec arcs.
+  std::vector<uint32_t> scratch_order_;
+  std::vector<ArcId> scratch_arc_of_;
+  // RefreshAggregatorSlices: one slice, the new slices back to back, where
+  // each goes, and the merged list.
+  struct SliceSplice {
+    NodeId dst;
+    size_t old_first, old_last;          // the old slice in the arc list
+    size_t resized_first, resized_last;  // the new slice in scratch_resized_
+  };
+  ArcList scratch_slice_;
+  ArcList scratch_resized_;
+  std::vector<SliceSplice> scratch_splices_;
+  ArcList scratch_merged_;
 };
 
 }  // namespace firmament

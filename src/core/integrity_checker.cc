@@ -14,8 +14,12 @@ void IntegrityChecker::CheckCluster(IntegrityReport* report) const {
     running.emplace(machine.id, 0);
     bandwidth.emplace(machine.id, 0);
   }
+  size_t waiting = 0;
   for (TaskId task_id : cluster_->LiveTasks()) {
     const TaskDescriptor& task = cluster_->task(task_id);
+    if (task.state == TaskState::kWaiting) {
+      ++waiting;
+    }
     if (task.state != TaskState::kRunning) {
       continue;
     }
@@ -41,6 +45,13 @@ void IntegrityChecker::CheckCluster(IntegrityReport* report) const {
                                    ": statistics drifted from task state");
     }
     ++report->entities_verified;
+  }
+  // Federated routing and the move pass read this count instead of
+  // scanning the tasks.
+  if (cluster_->num_waiting_tasks() != waiting) {
+    report->violations.push_back("waiting count " +
+                                 std::to_string(cluster_->num_waiting_tasks()) +
+                                 " drifted from task state (" + std::to_string(waiting) + ")");
   }
 }
 

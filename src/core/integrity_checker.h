@@ -38,7 +38,7 @@ namespace firmament {
 // One structured repair step taken by Recover(); surfaced (counted) in
 // SchedulerRoundResult::recovery_actions.
 enum class RecoveryActionKind : uint8_t {
-  kRefreshedClusterStats,  // per-machine statistics recomputed from tasks
+  kRefreshedClusterStats,  // machine stats + waiting count recomputed from tasks
   kEvictedOrphanTask,      // running task's machine dead/unknown -> waiting
   kRebuiltGraph,           // RebuildFromCluster: graph + caches replayed
 };
@@ -61,8 +61,9 @@ class IntegrityChecker {
       : cluster_(cluster), manager_(manager) {}
 
   // Verifies, without mutating anything:
-  //  1. cluster-internal invariants (stats match task state, running tasks
-  //     sit on alive machines, rack membership matches liveness);
+  //  1. cluster-internal invariants (stats and the waiting count match task
+  //     state, running tasks sit on alive machines, rack membership matches
+  //     liveness);
   //  2. cluster <-> graph parity (every alive machine / live task is
   //     mapped, nothing dead or unknown is);
   //  3. graph-internal + class-cache invariants

@@ -436,12 +436,9 @@ SchedulerRoundResult FirmamentScheduler::ApplyRound(SimTime now) {
     // network carries no meaningful flow, so extracting placements would act
     // on stale state. Apply no deltas — running tasks keep running under
     // their previous placements, waiting tasks stay unscheduled — and let
-    // the next round retry after further cluster changes.
-    for (TaskId task : cluster_->LiveTasks()) {
-      if (cluster_->task(task).state == TaskState::kWaiting) {
-        ++result.tasks_unscheduled;
-      }
-    }
+    // the next round retry after further cluster changes. Staged
+    // submissions already wait in the cluster, so they count too.
+    result.tasks_unscheduled = cluster_->num_waiting_tasks();
     // Degraded/infeasible rounds still replay: staged events carry forward
     // into the next round's graph instead of being lost, and admitted tasks
     // keep their original submit timestamps for honest latency tails.

@@ -178,7 +178,7 @@ class FirmamentScheduler {
   void CompleteTask(TaskId task, SimTime now);
 
   // Retires a *waiting* task without running it — the federation
-  // coordinator's spill/rebalance path, which resubmits the job in a
+  // coordinator's move pass, which resubmits the job in a
   // sibling cell. Idempotent duplicate-claim backstop: if the task was
   // placed (this cell claimed it) or completed since the withdraw was
   // decided, nothing changes, ignored_task_withdrawals is bumped, and

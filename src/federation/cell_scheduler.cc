@@ -34,14 +34,4 @@ size_t CellScheduler::LiveGraphNodes() const {
   return scheduler_->graph_manager().network()->NumNodes();
 }
 
-size_t CellScheduler::WaitingTasks() const {
-  size_t waiting = 0;
-  for (TaskId task : cluster_.LiveTasks()) {
-    if (cluster_.task(task).state == TaskState::kWaiting) {
-      ++waiting;
-    }
-  }
-  return waiting;
-}
-
 }  // namespace firmament

@@ -60,9 +60,9 @@ class CellScheduler {
   void MapMachine(MachineId local, MachineId global);
   MachineId ToGlobalMachine(MachineId local) const;
 
-  // --- round-sizing metrics (budget split, routing, rebalance) -----------
+  // --- round-sizing metrics (budget split, routing, move pass) -----------
   size_t LiveGraphNodes() const;
-  size_t WaitingTasks() const;
+  size_t WaitingTasks() const { return cluster_.num_waiting_tasks(); }
   int64_t FreeSlots() const {
     return cluster_.TotalSlots() - cluster_.UsedSlots();
   }

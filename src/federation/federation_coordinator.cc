@@ -5,21 +5,14 @@
 
 #include "src/base/check.h"
 #include "src/core/flow_graph_manager.h"
-#include "src/flow/graph.h"
-#include "src/solvers/successive_shortest_path.h"
 
 namespace firmament {
 
 namespace {
 
-// Spill cap per job, so a cluster-wide capacity crunch cannot bounce a job
+// Move cap per job, so a cluster-wide capacity crunch cannot bounce a job
 // between cells forever.
 constexpr size_t kMaxSpillsPerJob = 3;
-// Rebalance flow arc costs: moving one task between cells vs leaving it
-// queued where it is. move < stay makes the solver move work wherever
-// spare capacity exists.
-constexpr int64_t kRebalanceMoveCost = 1;
-constexpr int64_t kRebalanceStayCost = 8;
 
 // Worst-severity merge: a degraded cell degrades the round (the service
 // schedules a follow-up), approximate taints optimal, and infeasible only
@@ -57,7 +50,6 @@ FederationCoordinator::FederationCoordinator(size_t cells, CellPolicyFactory fac
     threads = std::min(cells - 1, ThreadPool::DefaultThreads());
   }
   pool_ = std::make_unique<ThreadPool>(threads);
-  waiting_cache_.assign(cells, 0);
   cell_dirty_.assign(cells, 1);
 }
 
@@ -137,9 +129,6 @@ JobId FederationCoordinator::SubmitJob(JobType type, int32_t priority,
     }
   }
   route.live = task_count;
-  if (!local_install.installed) {
-    waiting_cache_[target] += static_cast<int64_t>(task_count);
-  }
   if (install != nullptr) {
     *install = local_install;
     for (SchedulingDelta& delta : install->deltas) {
@@ -181,7 +170,7 @@ void FederationCoordinator::CompleteTask(TaskId task, SimTime now) {
 // --- routing ---------------------------------------------------------------
 
 int64_t FederationCoordinator::CellHeadroom(uint32_t cell) const {
-  return cells_[cell]->FreeSlots() - waiting_cache_[cell];
+  return cells_[cell]->FreeSlots() - static_cast<int64_t>(cells_[cell]->WaitingTasks());
 }
 
 uint32_t FederationCoordinator::RouteJob(const std::vector<TaskDescriptor>& tasks) {
@@ -230,23 +219,21 @@ uint32_t FederationCoordinator::RouteJob(const std::vector<TaskDescriptor>& task
   return best;
 }
 
-// --- spill / move ----------------------------------------------------------
+// --- move pass -------------------------------------------------------------
 
-uint32_t FederationCoordinator::PickSpillTarget(uint32_t origin, size_t tasks) const {
-  uint32_t best = origin;
-  int64_t best_headroom = CellHeadroom(origin);
-  for (uint32_t c = 0; c < cells_.size(); ++c) {
-    if (c == origin) continue;
-    int64_t headroom = CellHeadroom(c);
-    if (headroom >= static_cast<int64_t>(tasks) && headroom > best_headroom) {
-      best = c;
-      best_headroom = headroom;
+bool FederationCoordinator::FullyWaiting(const JobRoute& route) const {
+  const ClusterState& cluster = cells_[route.cell]->cluster();
+  for (TaskId gtask : route.global_tasks) {
+    auto tr = task_routes_.find(gtask);
+    if (tr == task_routes_.end()) continue;  // completed
+    if (cluster.task(tr->second.local).state != TaskState::kWaiting) {
+      return false;
     }
   }
-  return best;
+  return true;
 }
 
-bool FederationCoordinator::MoveJob(JobId job, uint32_t target_cell, SimTime now,
+void FederationCoordinator::MoveJob(JobId job, uint32_t target_cell, SimTime now,
                                     FederationRoundResult* result) {
   JobRoute& route = job_routes_.at(job);
   const uint32_t origin_cell = route.cell;
@@ -268,25 +255,20 @@ bool FederationCoordinator::MoveJob(JobId job, uint32_t target_cell, SimTime now
     copy.state = TaskState::kWaiting;
     // Bank the wait accrued in the origin cell; the resubmission restarts
     // the clock from `now`, and the unscheduled-cost ramp resumes from the
-    // banked total — a spilled job keeps its seniority.
+    // banked total — a moved job keeps its seniority.
     copy.total_wait += now - src.submit_time;
     descs.push_back(std::move(copy));
     live_globals.push_back(gtask);
   }
-  if (live_globals.empty()) {
-    return false;
-  }
-  // Withdraw from the origin. The caller pre-checked every task is still
+  CHECK(!live_globals.empty());
+  // Withdraw from the origin. The move pass checked every task is still
   // waiting and nothing ran in between on this thread, so the withdraws
-  // must succeed; WithdrawTask's ignore counter remains the backstop for
-  // any future caller that skips the pre-check.
+  // must succeed.
   for (TaskId gtask : live_globals) {
     TaskRoute tr = task_routes_.at(gtask);
     CHECK(origin.scheduler().WithdrawTask(tr.local, now));
     origin.UnmapTask(tr.local);
   }
-  waiting_cache_[origin_cell] -=
-      std::min<int64_t>(waiting_cache_[origin_cell], live_globals.size());
 
   // Resubmit through the normal event path: staging, placement templates,
   // and integrity checking in the target cell all apply unmodified. Global
@@ -316,159 +298,57 @@ bool FederationCoordinator::MoveJob(JobId job, uint32_t target_cell, SimTime now
       result->merged.deltas.push_back(global);
       ++result->merged.tasks_placed;
     }
-  } else {
-    waiting_cache_[target_cell] += static_cast<int64_t>(route.global_tasks.size());
-  }
-  return true;
-}
-
-void FederationCoordinator::ExecutePendingSpills(SimTime now,
-                                                 FederationRoundResult* result) {
-  if (pending_spills_.empty()) {
-    return;
-  }
-  std::vector<JobId> batch;
-  batch.swap(pending_spills_);
-  for (JobId job : batch) {
-    auto it = job_routes_.find(job);
-    if (it == job_routes_.end()) continue;  // completed since the decision
-    JobRoute& route = it->second;
-    route.pending_spill = false;
-    CellScheduler& origin = *cells_[route.cell];
-    // Duplicate-claim detection: the origin cell may have placed (part of)
-    // the job since the spill was decided last round. Its claim wins — the
-    // move aborts as a counted no-op and the wait clock restarts.
-    bool all_waiting = true;
-    size_t live = 0;
-    for (TaskId gtask : route.global_tasks) {
-      auto tr = task_routes_.find(gtask);
-      if (tr == task_routes_.end()) continue;
-      ++live;
-      if (origin.cluster().task(tr->second.local).state != TaskState::kWaiting) {
-        all_waiting = false;
-        break;
-      }
-    }
-    if (live == 0) continue;
-    if (!all_waiting) {
-      ++counters_.spill_conflicts;
-      ++result->spill_conflicts;
-      route.wait_rounds = 0;
-      continue;
-    }
-    uint32_t target = PickSpillTarget(route.cell, live);
-    if (target == route.cell) {
-      continue;  // headroom evaporated; wait accounting may re-queue later
-    }
-    if (MoveJob(job, target, now, result)) {
-      ++counters_.spills;
-      ++result->spills;
-      ++route.spill_count;
-      route.wait_rounds = 0;
-    }
   }
 }
 
-// --- rebalance -------------------------------------------------------------
-
-void FederationCoordinator::RebalancePass(SimTime now, FederationRoundResult* result) {
+void FederationCoordinator::MoveStuckJobs(SimTime now, FederationRoundResult* result) {
   if (cells_.size() < 2) {
     return;
   }
-  ++counters_.rebalance_passes;
-  const size_t n = cells_.size();
-  std::vector<int64_t> surplus(n, 0), spare(n, 0);
-  int64_t total_surplus = 0, total_spare = 0;
-  for (size_t c = 0; c < n; ++c) {
-    const int64_t waiting = waiting_cache_[c];
-    const int64_t free_slots = cells_[c]->FreeSlots();
-    surplus[c] = std::max<int64_t>(0, waiting - free_slots);
-    spare[c] = std::max<int64_t>(0, free_slots - waiting);
-    total_surplus += surplus[c];
-    total_spare += spare[c];
+  // Spare slots per cell (free minus waiting): negative in a donor, which
+  // holds more waiting tasks than it can place, positive in a receiver.
+  std::vector<int64_t> spare(cells_.size());
+  bool any_donor = false;
+  bool any_receiver = false;
+  for (uint32_t c = 0; c < cells_.size(); ++c) {
+    spare[c] = CellHeadroom(c);
+    any_donor |= spare[c] < 0;
+    any_receiver |= spare[c] > 0;
   }
-  if (total_surplus == 0 || total_spare == 0) {
+  if (!any_donor || !any_receiver) {
     return;
   }
-  // Small flow problem over cell aggregates: donors supply their surplus,
-  // receivers absorb up to their spare, moving costs kRebalanceMoveCost
-  // per task; the escape arc (stay queued at home) costs more, so flow
-  // moves exactly where spare capacity exists and nowhere else.
-  FlowNetwork net;
-  NodeId sink = net.AddNode(-total_surplus, NodeKind::kSink);
-  std::vector<NodeId> receiver(n, kInvalidNodeId);
-  for (size_t c = 0; c < n; ++c) {
-    if (spare[c] > 0) {
-      receiver[c] = net.AddNode(0, NodeKind::kAggregator);
-      net.AddArc(receiver[c], sink, spare[c], 0);
-    }
-  }
-  // arc -> (donor, receiver) so non-zero flows map back to move quotas.
-  std::vector<std::pair<ArcId, std::pair<uint32_t, uint32_t>>> move_arcs;
-  for (size_t i = 0; i < n; ++i) {
-    if (surplus[i] == 0) continue;
-    NodeId donor = net.AddNode(surplus[i], NodeKind::kAggregator);
-    net.AddArc(donor, sink, surplus[i], kRebalanceStayCost);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i || receiver[j] == kInvalidNodeId) continue;
-      ArcId arc = net.AddArc(donor, receiver[j], std::min(surplus[i], spare[j]),
-                             kRebalanceMoveCost);
-      move_arcs.push_back({arc, {static_cast<uint32_t>(i), static_cast<uint32_t>(j)}});
-    }
-  }
-  SuccessiveShortestPath solver;
-  SolveStats stats = solver.Solve(&net);
-  if (stats.outcome != SolveOutcome::kOptimal) {
-    return;  // escape arcs make this unreachable, but stay defensive
-  }
-  for (const auto& [arc, pair] : move_arcs) {
-    const int64_t quota = net.Flow(arc);
-    if (quota > 0) {
-      MoveWaitingJobs(pair.first, pair.second, quota, now, result);
-    }
-  }
-}
-
-void FederationCoordinator::MoveWaitingJobs(uint32_t from, uint32_t to,
-                                            int64_t task_quota, SimTime now,
-                                            FederationRoundResult* result) {
-  // Candidates: jobs in `from` that are fully waiting and have waited at
-  // least one full round (fresh submissions get their home-cell chance
-  // first). Collected then sorted so the unordered_map's iteration order
-  // cannot leak into behavior — longest-waiting first, ties by global id.
-  std::vector<std::pair<size_t, JobId>> candidates;
-  CellScheduler& origin = *cells_[from];
+  // Only here is a job walk worth it. Sorting the candidates keeps the
+  // unordered_map's iteration order out of behaviour.
+  std::vector<JobId> candidates;
   for (const auto& [job, route] : job_routes_) {
-    if (route.cell != from || route.pending_spill || route.wait_rounds < 1) continue;
-    if (static_cast<int64_t>(route.live) > task_quota) continue;
-    bool all_waiting = route.live > 0;
-    for (TaskId gtask : route.global_tasks) {
-      auto tr = task_routes_.find(gtask);
-      if (tr == task_routes_.end()) continue;
-      if (origin.cluster().task(tr->second.local).state != TaskState::kWaiting) {
-        all_waiting = false;
-        break;
+    if (spare[route.cell] < 0 && route.spill_count < kMaxSpillsPerJob && FullyWaiting(route)) {
+      candidates.push_back(job);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  for (JobId job : candidates) {
+    JobRoute& route = job_routes_.at(job);
+    const uint32_t donor = route.cell;
+    const int64_t size = static_cast<int64_t>(route.live);
+    if (spare[donor] >= 0) {
+      continue;  // earlier moves already relieved this donor
+    }
+    uint32_t target = kNoCell;
+    for (uint32_t c = 0; c < cells_.size(); ++c) {
+      if (spare[c] >= size && (target == kNoCell || spare[c] > spare[target])) {
+        target = c;
       }
     }
-    if (all_waiting) {
-      candidates.push_back({route.wait_rounds, job});
+    if (target == kNoCell) {
+      continue;  // no receiver fits the whole job; a smaller one may fit
     }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (const auto& [wait, job] : candidates) {
-    JobRoute& route = job_routes_.at(job);
-    if (static_cast<int64_t>(route.live) > task_quota) continue;
-    if (MoveJob(job, to, now, result)) {
-      task_quota -= static_cast<int64_t>(route.live);
-      route.wait_rounds = 0;
-      ++counters_.rebalance_moves;
-      ++result->rebalance_moves;
-      if (task_quota <= 0) break;
-    }
+    MoveJob(job, target, now, result);
+    spare[donor] += size;
+    spare[target] -= size;
+    ++route.spill_count;
+    ++counters_.spills;
+    ++result->spills;
   }
 }
 
@@ -537,70 +417,10 @@ void FederationCoordinator::MergeCellRound(CellScheduler& cell,
                                  round.recovery_actions.end());
 }
 
-void FederationCoordinator::UpdateWaitAccounting(const std::vector<uint8_t>& ran,
-                                                 FederationRoundResult* result) {
-  // Exact waiting counts replace the between-rounds estimates — but only
-  // for cells that ran; a skipped cell's cache is still exact, since clean
-  // means no event touched it after its last recompute.
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    if (!ran[c]) continue;
-    waiting_cache_[c] = static_cast<int64_t>(cells_[c]->WaitingTasks());
-    // A cell ending its round with zero waiting tasks has a static graph
-    // until the next routed event (no unscheduled-cost ramp left to climb),
-    // so it is clean and skippable. A degraded/infeasible outcome keeps it
-    // dirty regardless: the solver owes the cell a retry.
-    cell_dirty_[c] = waiting_cache_[c] > 0 ||
-                     OutcomeSeverity(result->cell_outcomes[c]) >= 2;
-  }
-  if (cells_.size() < 2) {
-    return;
-  }
-  for (auto& [job, route] : job_routes_) {
-    if (waiting_cache_[route.cell] == 0) {
-      // No waiting tasks anywhere in the cell: nothing of this job waits.
-      route.wait_rounds = 0;
-      continue;
-    }
-    bool any_waiting = false;
-    bool any_running = false;
-    CellScheduler& cell = *cells_[route.cell];
-    for (TaskId gtask : route.global_tasks) {
-      auto tr = task_routes_.find(gtask);
-      if (tr == task_routes_.end()) continue;
-      TaskState state = cell.cluster().task(tr->second.local).state;
-      if (state == TaskState::kWaiting) any_waiting = true;
-      if (state == TaskState::kRunning) any_running = true;
-    }
-    if (!any_waiting || any_running) {
-      // Partially-placed jobs stay home: spilling would tear the job across
-      // cells and fight the cell's own placement momentum.
-      route.wait_rounds = 0;
-      continue;
-    }
-    ++route.wait_rounds;
-    if (!route.pending_spill && route.wait_rounds >= options_.spill_after_rounds &&
-        route.spill_count < kMaxSpillsPerJob &&
-        PickSpillTarget(route.cell, route.live) != route.cell) {
-      // Queue only when a viable sibling exists *now*; execution next round
-      // re-validates both the headroom and the still-waiting claim. This
-      // keeps an all-full cluster quiescent instead of spinning followups.
-      route.pending_spill = true;
-      pending_spills_.push_back(job);
-    }
-  }
-}
-
 FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
   FederationRoundResult result;
   result.cell_outcomes.assign(cells_.size(), SolveOutcome::kOptimal);
-  ++round_seq_;
   ++counters_.rounds;
-
-  ExecutePendingSpills(now, &result);
-  if (options_.rebalance_every_rounds > 0 &&
-      round_seq_ % options_.rebalance_every_rounds == 0) {
-    RebalancePass(now, &result);
-  }
   SplitSolveBudget();
 
   // Decide which cells run before fanning out: idle cells (nothing live,
@@ -642,6 +462,11 @@ FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
     ++result.cells_run;
     result.cell_outcomes[i] = rounds[i].outcome;
     MergeCellRound(*cells_[i], rounds[i], &result);
+    // A cell ending its round with zero waiting tasks has a static graph
+    // until the next routed event (no unscheduled-cost ramp left to climb),
+    // so it is clean and skippable. A degraded/infeasible outcome keeps it
+    // dirty regardless: the solver owes the cell a retry.
+    cell_dirty_[i] = cells_[i]->WaitingTasks() > 0 || OutcomeSeverity(rounds[i].outcome) >= 2;
     any_degraded |= rounds[i].outcome == SolveOutcome::kDegraded;
     if (OutcomeSeverity(rounds[i].outcome) < 3) {
       all_infeasible = false;
@@ -659,10 +484,9 @@ FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
         worst >= 1 ? SolveOutcome::kApproximate : SolveOutcome::kOptimal;
   }
 
-  UpdateWaitAccounting(ran, &result);
-  result.needs_followup = result.spills > 0 || result.rebalance_moves > 0 ||
-                          result.merged.tasks_preempted > 0 || any_degraded ||
-                          !pending_spills_.empty();
+  MoveStuckJobs(now, &result);
+  result.needs_followup =
+      result.spills > 0 || result.merged.tasks_preempted > 0 || any_degraded;
   return result;
 }
 

@@ -16,22 +16,21 @@
 //    cell over each task's candidate machines, if a locality source is
 //    attached and the best cell has headroom), then least-loaded (max
 //    free-slots minus waiting-tasks headroom; ties to the lowest index).
-//    Deterministic: no RNG anywhere in the coordinator.
-//  * Conflicts resolve at commit time. A job whose cell leaves it fully
-//    waiting for spill_after_rounds consecutive rounds — i.e. the cell
-//    cannot place it while its unscheduled-cost ramp climbs — is queued to
-//    spill to the sibling cell with the most headroom *next* round. At
-//    execution the coordinator re-checks every task is still waiting: if the
-//    origin cell placed any of them meanwhile, the move aborts and the
-//    cell's claim wins (spill_conflicts). The withdraw itself goes through
-//    FirmamentScheduler::WithdrawTask, whose idempotent counter is the
-//    backstop for genuinely stale duplicates.
-//  * An occasional rebalance pass (every rebalance_every_rounds) solves a
-//    tiny min-cost flow over cell aggregates — donor cells supply their
-//    waiting-minus-free surplus, receivers absorb up to their spare — and
-//    moves whole waiting jobs along the non-zero flows. Moves use the same
-//    Withdraw + SubmitJob path as spills, so staging, placement templates,
-//    and integrity checking in the cells keep working unmodified.
+//    Both terms are each cell's own exact counts. Deterministic: no RNG
+//    anywhere in the coordinator.
+//  * Jobs move between cells in one pass at the end of each round, and
+//    only when the cell aggregates say some work cannot be placed where it
+//    is: a donor cell (more waiting tasks than free slots) exists beside a
+//    receiver cell (more free slots than waiting tasks). Then the jobs the
+//    donors' rounds just left fully waiting move, oldest global job id
+//    first, each to the receiver with the most spare slots that fits the
+//    whole job (ties to the lowest index), debiting both sides, at most
+//    kMaxSpillsPerJob times per job. Deciding and moving are one step on
+//    the coordinator thread, so no cell can claim a job in between; the
+//    withdraw goes through FirmamentScheduler::WithdrawTask and the
+//    resubmit through SubmitJob, so staging, placement templates, and
+//    integrity checking in the cells keep working unmodified. An all-full
+//    cluster has no receiver, so it stays quiescent.
 //  * Solve budgets federate: a global solve_budget_us is split across the
 //    cells that will actually solve this round, proportional to live graph
 //    size, so a federated round degrades under the same global budget as a
@@ -69,12 +68,6 @@ namespace firmament {
 struct FederationOptions {
   // Per-cell scheduler stack configuration, shared by every cell.
   FirmamentSchedulerOptions cell;
-  // A job fully waiting for this many consecutive coordinator rounds
-  // becomes a spill candidate (its unscheduled-cost ramp has had that many
-  // chances to win locally and lost).
-  size_t spill_after_rounds = 2;
-  // Cross-cell rebalance cadence in coordinator rounds (0 disables).
-  size_t rebalance_every_rounds = 16;
   // Global per-round solve budget split across solving cells proportional
   // to live graph size (0 = no budget; cells keep their own settings).
   uint64_t solve_budget_us = 0;
@@ -87,10 +80,10 @@ struct FederationOptions {
 
 struct FederationCounters {
   uint64_t rounds = 0;
-  uint64_t spills = 0;            // jobs moved by the spill path
-  uint64_t spill_conflicts = 0;   // spills aborted: origin cell claimed first
-  uint64_t rebalance_passes = 0;
-  uint64_t rebalance_moves = 0;   // jobs moved by the rebalance flow
+  uint64_t spills = 0;  // jobs moved to a sibling cell by the move pass
+  // Always 0: the rebalance flow it counted is part of the move pass now.
+  // Kept while the end-to-end benchmark still reports it.
+  uint64_t rebalance_moves = 0;
   uint64_t cell_rounds_run = 0;      // per-cell scheduling rounds executed
   uint64_t cell_rounds_skipped = 0;  // elided: cell was clean (no events, no waiting)
   uint64_t jobs_routed_by_locality = 0;
@@ -103,12 +96,10 @@ struct FederationRoundResult {
   SchedulerRoundResult merged;
   std::vector<SolveOutcome> cell_outcomes;  // indexed by cell
   size_t cells_run = 0;
-  size_t spills = 0;
-  size_t spill_conflicts = 0;
-  size_t rebalance_moves = 0;
-  // More work is already known to exist (spills queued or executed,
-  // rebalance moved jobs, preemptions to re-place, or a degraded cell) —
-  // the service loop schedules a follow-up round.
+  size_t spills = 0;  // jobs the move pass moved this round
+  // More work is already known to exist (moved jobs, preemptions to
+  // re-place, or a degraded cell) — the service loop schedules a follow-up
+  // round.
   bool needs_followup = false;
 };
 
@@ -136,9 +127,9 @@ class FederationCoordinator {
                   std::vector<TaskId>* global_task_ids = nullptr);
   void CompleteTask(TaskId task, SimTime now);
 
-  // One federated round: execute queued spills, maybe rebalance, split the
-  // solve budget, run every non-idle cell's scheduling round (concurrently
-  // when the pool has workers), and merge.
+  // One federated round: split the solve budget, run every non-idle, dirty
+  // cell's scheduling round (concurrently when the pool has workers), merge,
+  // then run the move pass.
   FederationRoundResult RunRound(SimTime now);
 
   // --- introspection -----------------------------------------------------
@@ -179,10 +170,8 @@ class FederationCoordinator {
     JobType type = JobType::kBatch;
     int32_t priority = 0;
     std::vector<TaskId> global_tasks;
-    size_t live = 0;         // not-yet-completed tasks
-    size_t wait_rounds = 0;  // consecutive rounds fully waiting
+    size_t live = 0;  // not-yet-completed tasks
     size_t spill_count = 0;
-    bool pending_spill = false;
   };
   struct MachineRoute {
     uint32_t cell = 0;
@@ -195,21 +184,16 @@ class FederationCoordinator {
 
   int64_t CellHeadroom(uint32_t cell) const;
   uint32_t RouteJob(const std::vector<TaskDescriptor>& tasks);
-  // Best sibling for `tasks` waiting tasks currently in `origin`: the cell
-  // with the most headroom, if it both fits the job and beats the origin.
-  // Returns origin when no sibling qualifies.
-  uint32_t PickSpillTarget(uint32_t origin, size_t tasks) const;
-  bool MoveJob(JobId job, uint32_t target_cell, SimTime now,
+  bool FullyWaiting(const JobRoute& route) const;
+  // Withdraws every live task of a fully-waiting `job` from its cell and
+  // resubmits them to `target_cell`, banking the wait accrued so far.
+  void MoveJob(JobId job, uint32_t target_cell, SimTime now,
                FederationRoundResult* result);
-  void ExecutePendingSpills(SimTime now, FederationRoundResult* result);
-  void RebalancePass(SimTime now, FederationRoundResult* result);
-  void MoveWaitingJobs(uint32_t from, uint32_t to, int64_t task_quota,
-                       SimTime now, FederationRoundResult* result);
+  // The end-of-round move pass (see the contract above).
+  void MoveStuckJobs(SimTime now, FederationRoundResult* result);
   void SplitSolveBudget();
   void MergeCellRound(CellScheduler& cell, const SchedulerRoundResult& round,
                       FederationRoundResult* result);
-  void UpdateWaitAccounting(const std::vector<uint8_t>& ran,
-                            FederationRoundResult* result);
 
   FederationOptions options_;
   std::vector<std::unique_ptr<CellScheduler>> cells_;
@@ -225,19 +209,12 @@ class FederationCoordinator {
   std::unordered_map<MachineId, MachineRoute> machine_routes_;
   std::vector<RackRoute> rack_routes_;  // indexed by global rack id
 
-  // Waiting-task estimate per cell: exact after every round the cell runs
-  // (recomputed), nudged on submit/move in between so routing headroom
-  // stays honest. A skipped cell's entry is already exact — clean means
-  // nothing changed since it went quiescent.
-  std::vector<int64_t> waiting_cache_;
   // Per-cell dirty flag: set by every routed event, cleared when a round
   // leaves the cell with zero waiting tasks (see the clean-cell contract
   // above). All mutations happen on the round-driving thread.
   std::vector<uint8_t> cell_dirty_;
-  std::vector<JobId> pending_spills_;
   std::vector<uint64_t> last_budget_split_;
 
-  uint64_t round_seq_ = 0;
   FederationCounters counters_;
   // Ignores for events the coordinator could not route to any cell.
   SchedulerEventCounters local_ignored_;

@@ -1,18 +1,20 @@
 // Federation tests: deterministic job routing (same seed => same cell
-// assignment), spill-and-conflict resolution under a full cell (the origin
-// cell's claim wins a race, counted — never double-placed), cells=1
-// byte-identical to the centralized scheduler, a whole-rack/whole-cell
-// failure storm driven by the seeded FaultInjector with per-cell integrity
-// checking on, counter sum-equality across the coordinator's summing views,
-// and the proportional solve-budget split. The coordinator's concurrent
-// cell rounds run with a forced worker pool here so the TSan leg exercises
-// the share-nothing claim.
+// assignment), the end-of-round move pass (a full cell's stuck job moves to
+// a sibling with headroom, keeps its banked wait, and respects the per-job
+// move cap; an all-full cluster stays quiescent; capacity opening at home
+// wins without a move), cells=1 byte-identical to the centralized
+// scheduler, a whole-rack/whole-cell failure storm driven by the seeded
+// FaultInjector with per-cell integrity checking on, counter sum-equality
+// across the coordinator's summing views, and the proportional
+// solve-budget split. The coordinator's concurrent cell rounds run with a
+// forced worker pool here so the TSan leg exercises the share-nothing claim.
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,7 +193,7 @@ TEST(FederationRoutingTest, LocalityWinsWhenCellHasRoom) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill and conflict resolution under a full cell.
+// The move pass under a full cell.
 // ---------------------------------------------------------------------------
 
 struct SpillSetup {
@@ -201,6 +203,7 @@ struct SpillSetup {
   std::vector<TaskId> stuck;        // the fully-waiting job's tasks (cell 0)
   JobId stuck_job = kInvalidJobId;
   SimTime now = 0;
+  SimTime stuck_submit = 0;
 
   // Both cells filled to capacity, then one 2-task job submitted that must
   // wait in cell 0 (tie-break on equal zero headroom).
@@ -221,78 +224,199 @@ struct SpillSetup {
     now += kSec;
     FederationRoundResult round = env.fed->RunRound(now);
     EXPECT_EQ(round.merged.tasks_placed, 16u);
+    stuck_submit = now;
     stuck_job = env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(2), now, nullptr, &stuck);
     EXPECT_EQ(env.fed->CellOfJob(stuck_job), 0u);
   }
+
+  FederationRoundResult Round() {
+    now += kSec;
+    return env.fed->RunRound(now);
+  }
 };
 
-TEST(FederationSpillTest, FullCellSpillsToSiblingWithHeadroom) {
+TEST(FederationMoveTest, FullCellMovesJobToSiblingWithHeadroom) {
   SpillSetup s;
-  // Two rounds of waiting; no spill target exists (both cells full).
+  // Two rounds of waiting; no receiver exists (both cells full).
   for (int i = 0; i < 2; ++i) {
-    s.now += kSec;
-    FederationRoundResult round = s.env.fed->RunRound(s.now);
-    EXPECT_EQ(round.spills, 0u);
+    EXPECT_EQ(s.Round().spills, 0u);
   }
-  // Capacity opens in cell 1 -> next round queues the spill, the one after
-  // executes it and cell 1 places the job.
+  // Capacity opens in cell 1: the next round ends with cell 0 a donor and
+  // cell 1 a receiver, so the job moves, and the round after places it.
   s.env.fed->CompleteTask(s.cell1_tasks[0], s.now);
   s.env.fed->CompleteTask(s.cell1_tasks[1], s.now);
+  FederationRoundResult moved = s.Round();
+  EXPECT_EQ(moved.spills, 1u);
+  EXPECT_TRUE(moved.needs_followup);
+  EXPECT_EQ(s.env.fed->CellOfJob(s.stuck_job), 1u);
   size_t placed_in_cell1 = 0;
-  for (int i = 0; i < 3 && placed_in_cell1 == 0; ++i) {
-    s.now += kSec;
-    FederationRoundResult round = s.env.fed->RunRound(s.now);
-    for (const SchedulingDelta& delta : round.merged.deltas) {
-      if (delta.kind == SchedulingDelta::Kind::kPlace &&
-          (delta.task == s.stuck[0] || delta.task == s.stuck[1])) {
-        ++placed_in_cell1;
-        EXPECT_EQ(s.env.fed->CellOfMachine(delta.to), 1u);
-      }
+  for (const SchedulingDelta& delta : s.Round().merged.deltas) {
+    if (delta.kind == SchedulingDelta::Kind::kPlace &&
+        (delta.task == s.stuck[0] || delta.task == s.stuck[1])) {
+      ++placed_in_cell1;
+      EXPECT_EQ(s.env.fed->CellOfMachine(delta.to), 1u);
     }
   }
-  EXPECT_GT(placed_in_cell1, 0u);
+  EXPECT_EQ(placed_in_cell1, 2u);
   EXPECT_EQ(s.env.fed->counters().spills, 1u);
-  EXPECT_EQ(s.env.fed->CellOfJob(s.stuck_job), 1u);
+  EXPECT_EQ(s.env.fed->counters().rebalance_moves, 0u);
   EXPECT_TRUE(s.env.fed->IsTaskRunning(s.stuck[0]));
   EXPECT_TRUE(s.env.fed->IsTaskRunning(s.stuck[1]));
   EXPECT_EQ(CountWaiting(*s.env.fed), 0u);
 }
 
-TEST(FederationSpillTest, OriginCellClaimWinsConflict) {
+TEST(FederationMoveTest, AllFullClusterStaysQuiescent) {
   SpillSetup s;
-  for (int i = 0; i < 2; ++i) {
-    s.now += kSec;
-    s.env.fed->RunRound(s.now);
+  // A donor (cell 0) but no receiver: nothing moves and no follow-up round
+  // is requested, however long the job waits.
+  for (int i = 0; i < 4; ++i) {
+    FederationRoundResult round = s.Round();
+    EXPECT_EQ(round.spills, 0u);
+    EXPECT_FALSE(round.needs_followup);
   }
-  // Open capacity in BOTH cells; the coordinator round queues the spill
-  // (target: cell 1)...
+  EXPECT_EQ(s.env.fed->CellOfJob(s.stuck_job), 0u);
+  EXPECT_EQ(s.env.fed->counters().spills, 0u);
+  EXPECT_EQ(CountWaiting(*s.env.fed), 2u);
+}
+
+TEST(FederationMoveTest, CapacityAtHomePlacesWithoutMove) {
+  SpillSetup s;
+  s.Round();
+  // Capacity opens in both cells before the next round: the origin cell's
+  // own round places the job, so its round ends with no donor to move from.
   s.env.fed->CompleteTask(s.cell1_tasks[0], s.now);
   s.env.fed->CompleteTask(s.cell1_tasks[1], s.now);
   s.env.fed->CompleteTask(s.cell0_tasks[0], s.now);
   s.env.fed->CompleteTask(s.cell0_tasks[1], s.now);
-  s.now += kSec;
-  s.env.fed->RunRound(s.now);
-  ASSERT_TRUE(s.env.fed->IsTaskRunning(s.stuck[0]) ||
-              s.env.fed->CellOfJob(s.stuck_job) == 0u);
-  if (s.env.fed->IsTaskRunning(s.stuck[0])) {
-    // Cell 0 already placed the job in that round: the spill was never
-    // queued (wait accounting saw it running). Force the interesting order
-    // instead: nothing to do — the claim-race window didn't open.
-    return;
+  FederationRoundResult round = s.Round();
+  EXPECT_EQ(round.spills, 0u);
+  EXPECT_FALSE(round.needs_followup);
+  for (const SchedulingDelta& delta : round.merged.deltas) {
+    if (delta.task == s.stuck[0] || delta.task == s.stuck[1]) {
+      EXPECT_EQ(s.env.fed->CellOfMachine(delta.to), 0u);
+    }
   }
-  // ...but before the next coordinator round runs, cell 0's own scheduler
-  // places the job (the duplicate-claim race, compressed to one thread).
-  s.env.fed->cell(0).scheduler().RunSchedulingRound(s.now);
-  ASSERT_EQ(s.env.fed->cell(0).cluster().task(0).job,
-            s.env.fed->cell(0).cluster().task(0).job);  // cluster still sane
-  s.now += kSec;
-  FederationRoundResult round = s.env.fed->RunRound(s.now);
-  // The spill must abort as a counted conflict; the job stays in cell 0.
-  EXPECT_EQ(round.spill_conflicts + s.env.fed->counters().spill_conflicts > 0, true);
   EXPECT_EQ(s.env.fed->CellOfJob(s.stuck_job), 0u);
   EXPECT_TRUE(s.env.fed->IsTaskRunning(s.stuck[0]));
   EXPECT_TRUE(s.env.fed->IsTaskRunning(s.stuck[1]));
   EXPECT_EQ(s.env.fed->counters().spills, 0u);
+}
+
+TEST(FederationMoveTest, MovedJobKeepsBankedWait) {
+  SpillSetup s;
+  s.Round();
+  s.env.fed->CompleteTask(s.cell1_tasks[0], s.now);
+  s.env.fed->CompleteTask(s.cell1_tasks[1], s.now);
+  ASSERT_EQ(s.Round().spills, 1u);
+  // The move banks the wait so far and restarts the clock in cell 1.
+  for (TaskId task : s.stuck) {
+    EXPECT_EQ(s.env.fed->task(task).total_wait, s.now - s.stuck_submit);
+    EXPECT_EQ(s.env.fed->task(task).submit_time, s.now);
+  }
+  s.Round();
+  // Placed: the task's total wait runs from its original submission.
+  for (TaskId task : s.stuck) {
+    ASSERT_TRUE(s.env.fed->IsTaskRunning(task));
+    EXPECT_EQ(s.env.fed->task(task).total_wait, s.now - s.stuck_submit);
+  }
+}
+
+TEST(FederationMoveTest, PerJobMoveCapHolds) {
+  // One machine per cell; the job's cell loses its machine before every
+  // round while the other cell gets a fresh one, so each round ends with a
+  // donor holding the job beside a receiver.
+  FedEnv env(/*cells=*/2, /*racks=*/2, /*machines_per_rack=*/1, /*slots=*/4);
+  SimTime now = 0;
+  JobId job = env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(2), now);
+  ASSERT_EQ(env.fed->CellOfJob(job), 0u);
+  std::vector<MachineId> machine = {env.rack_machines[0][0], env.rack_machines[1][0]};
+  env.fed->RemoveMachine(machine[0], now, nullptr);
+  uint32_t home = 0;
+  for (int move = 1; move <= 3; ++move) {
+    now += kSec;
+    FederationRoundResult round = env.fed->RunRound(now);
+    ASSERT_EQ(round.spills, 1u) << "move " << move;
+    EXPECT_TRUE(round.needs_followup);
+    const uint32_t away = 1 - home;
+    ASSERT_EQ(env.fed->CellOfJob(job), away);
+    env.fed->RemoveMachine(machine[away], now, nullptr);
+    machine[home] = env.fed->AddMachine(env.racks[home], MachineSpec{.slots = 4});
+    home = away;
+  }
+  // Capped: the donor/receiver pair is still there, but the job stays put.
+  for (int i = 0; i < 2; ++i) {
+    now += kSec;
+    FederationRoundResult round = env.fed->RunRound(now);
+    EXPECT_EQ(round.spills, 0u);
+    EXPECT_FALSE(round.needs_followup);
+  }
+  EXPECT_EQ(env.fed->CellOfJob(job), home);
+  EXPECT_EQ(env.fed->cell(home).FreeSlots(), 0);
+  EXPECT_EQ(env.fed->cell(1 - home).FreeSlots(), 4);
+  EXPECT_EQ(env.fed->counters().spills, 3u);
+  EXPECT_EQ(CountWaiting(*env.fed), 2u);
+}
+
+TEST(FederationMoveTest, MovesToReceiverWithMostSpareTiesToLowestIndex) {
+  // Three one-machine cells. A 2-task job in cell 0 loses its machine;
+  // cell 1 runs `cell1_load` single-task jobs, cell 2 runs none.
+  for (size_t cell1_load : {1u, 0u}) {
+    FedEnv env(/*cells=*/3, /*racks=*/3, /*machines_per_rack=*/1, /*slots=*/4);
+    JobId job = env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(2), 0);
+    ASSERT_EQ(env.fed->CellOfJob(job), 0u);
+    for (size_t i = 0; i < cell1_load; ++i) {
+      ASSERT_EQ(env.fed->CellOfJob(env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(1), 0)), 1u);
+    }
+    env.fed->RunRound(kSec);
+    env.fed->RemoveMachine(env.rack_machines[0][0], kSec, nullptr);
+    ASSERT_EQ(env.fed->RunRound(2 * kSec).spills, 1u);
+    // Spare 3 vs 4 picks cell 2; 4 vs 4 ties to cell 1.
+    EXPECT_EQ(env.fed->CellOfJob(job), cell1_load == 1 ? 2u : 1u);
+  }
+}
+
+TEST(FederationMoveTest, ImbalanceAfterMachineLossMovesOldestJobsFirst) {
+  FedEnv env(/*cells=*/2, /*racks=*/2, /*machines_per_rack=*/2, /*slots=*/8);
+  SimTime now = 0;
+  // 14 single-task jobs per cell (16 slots each).
+  std::vector<std::pair<JobId, TaskId>> cell_jobs[2];
+  for (int j = 0; j < 28; ++j) {
+    std::vector<TaskId> ids;
+    JobId job = env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(1), now, nullptr, &ids);
+    cell_jobs[env.fed->CellOfJob(job)].push_back({job, ids[0]});
+  }
+  now += kSec;
+  env.fed->RunRound(now);
+  ASSERT_EQ(CountWaiting(*env.fed), 0u);
+  ASSERT_EQ(cell_jobs[0].size(), 14u);
+
+  // Kill one of cell 0's machines: its tasks evict into a queue the
+  // remaining 8 slots cannot absorb (6 left waiting), while cell 1 has
+  // only 2 spare slots, so the two oldest waiting jobs move.
+  env.fed->RemoveMachine(env.rack_machines[0][0], now, nullptr);
+  now += kSec;
+  FederationRoundResult round = env.fed->RunRound(now);
+  EXPECT_EQ(round.spills, 2u);
+  EXPECT_TRUE(round.needs_followup);
+  std::vector<JobId> moved;
+  std::vector<JobId> waiting;
+  for (const auto& [job, task] : cell_jobs[0]) {
+    if (env.fed->CellOfJob(job) == 1) {
+      moved.push_back(job);
+    } else if (!env.fed->IsTaskRunning(task)) {
+      waiting.push_back(job);
+    }
+  }
+  ASSERT_EQ(moved.size(), 2u);
+  ASSERT_EQ(waiting.size(), 4u);
+  EXPECT_LT(*std::max_element(moved.begin(), moved.end()),
+            *std::min_element(waiting.begin(), waiting.end()));
+  // The moved jobs run in cell 1; cell 0's remaining queue has no receiver.
+  now += kSec;
+  EXPECT_FALSE(env.fed->RunRound(now).needs_followup);
+  EXPECT_EQ(env.fed->cell(1).FreeSlots(), 0);
+  EXPECT_EQ(CountWaiting(*env.fed), 4u);
+  EXPECT_EQ(env.fed->counters().spills, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -396,22 +520,20 @@ TEST(FederationEquivalenceTest, OneCellByteIdenticalToCentralized) {
     EXPECT_TRUE(central.deltas[i] == federated.deltas[i]) << "delta " << i;
   }
   EXPECT_EQ(central.final_placements, federated.final_placements);
-  // The one-cell coordinator never spills or rebalances.
+  // The one-cell coordinator never moves a job.
   EXPECT_EQ(fed.counters().spills, 0u);
-  EXPECT_EQ(fed.counters().rebalance_moves, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Failure storm: a whole cell's rack dies (seeded FaultInjector decisions);
 // integrity stays clean per cell per round and the dead cell's work fails
-// over to its siblings via spills.
+// over to its siblings through the move pass.
 // ---------------------------------------------------------------------------
 
 TEST(FederationStormTest, WholeCellRackDeathFailsOverClean) {
   FederationOptions options;
   options.cell.check_integrity = true;  // IntegrityChecker per cell per round
   options.threads = 3;                  // force concurrent cell rounds (TSan)
-  options.spill_after_rounds = 1;
   FedEnv env(/*cells=*/4, /*racks=*/4, /*machines_per_rack=*/8, /*slots=*/8, options);
 
   // ~62% load so three surviving cells can absorb the fourth's work.
@@ -451,7 +573,7 @@ TEST(FederationStormTest, WholeCellRackDeathFailsOverClean) {
   EXPECT_EQ(env.fed->cell(doomed_cell).FreeSlots(), 0);
 
   // Failover: every task placed again, no integrity repairs, and the dead
-  // cell's jobs moved out through the spill path.
+  // cell's jobs moved out through the move pass.
   size_t rounds_after = 0;
   while (CountWaiting(*env.fed) > 0) {
     run_round();
@@ -576,45 +698,6 @@ TEST(FederationBudgetTest, StarvationBudgetDegradesMergedRound) {
   FederationRoundResult round = env.fed->RunRound(kSec);
   EXPECT_EQ(round.merged.outcome, SolveOutcome::kDegraded);
   EXPECT_TRUE(round.needs_followup);
-}
-
-// ---------------------------------------------------------------------------
-// Rebalance: an imbalanced pair of cells converges through the aggregate
-// flow pass (spills disabled to isolate the path).
-// ---------------------------------------------------------------------------
-
-TEST(FederationRebalanceTest, AggregateFlowMovesWaitingJobs) {
-  FederationOptions options;
-  options.rebalance_every_rounds = 1;
-  options.spill_after_rounds = 1000;  // spills off: rebalance must do it
-  FedEnv env(/*cells=*/2, /*racks=*/2, /*machines_per_rack=*/2, /*slots=*/8, options);
-  SimTime now = 0;
-  // 12 single-task jobs per cell (16 slots each) -> both run at 75%.
-  std::vector<TaskId> cell_tasks[2];
-  for (int j = 0; j < 24; ++j) {
-    std::vector<TaskId> ids;
-    JobId job = env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(1), now, nullptr, &ids);
-    cell_tasks[env.fed->CellOfJob(job)].push_back(ids[0]);
-  }
-  now += kSec;
-  env.fed->RunRound(now);
-  ASSERT_EQ(CountWaiting(*env.fed), 0u);
-  ASSERT_EQ(cell_tasks[0].size(), 12u);
-
-  // Kill one of cell 0's machines: ~half its tasks evict into a queue its
-  // remaining 8 slots cannot absorb, while cell 1 has 4 spare slots.
-  env.fed->RemoveMachine(env.rack_machines[0][0], now, nullptr);
-  size_t moves = 0;
-  for (int i = 0; i < 6; ++i) {
-    now += kSec;
-    FederationRoundResult round = env.fed->RunRound(now);
-    moves += round.rebalance_moves;
-    if (CountWaiting(*env.fed) == 0) break;
-  }
-  EXPECT_GT(moves, 0u);
-  EXPECT_EQ(CountWaiting(*env.fed), 0u);
-  EXPECT_EQ(env.fed->counters().spills, 0u);
-  EXPECT_GT(env.fed->counters().rebalance_passes, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 // long sequences of cluster events, and the simulator's accounting must stay
 // consistent.
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -781,6 +783,44 @@ TEST(IntegrityRecoveryTest, CorruptedFlowIsDetectedAndRebuilt) {
   EXPECT_EQ(repaired.outcome, SolveOutcome::kOptimal);
   EXPECT_TRUE(checker.Check().clean());
   EXPECT_GT(scheduler.graph_manager().ValidateIntegrity(), 0u);
+}
+
+// The waiting count is maintained by the lifecycle methods and read by the
+// federation coordinator instead of a task scan, so an out-of-band state
+// edit that skips it must be reported and then repaired by the recount.
+TEST(IntegrityRecoveryTest, WaitingCountDriftIsDetectedAndRepaired) {
+  ClusterState cluster;
+  LoadSpreadingPolicy policy(&cluster);
+  FirmamentSchedulerOptions options;
+  options.check_integrity = true;
+  FirmamentScheduler scheduler(&cluster, &policy, options);
+  RackId rack = cluster.AddRack();
+  scheduler.AddMachine(rack, MachineSpec{.slots = 4});
+  JobId job =
+      scheduler.SubmitJob(JobType::kBatch, 0, std::vector<TaskDescriptor>(6, TaskDescriptor{}), 0);
+  SchedulerRoundResult clean = scheduler.RunSchedulingRound(kSec);
+  ASSERT_EQ(clean.tasks_placed, 4u);
+  ASSERT_EQ(cluster.num_waiting_tasks(), 2u);
+
+  TaskId edited = kInvalidTaskId;
+  for (TaskId task : cluster.job(job).tasks) {
+    if (cluster.task(task).state == TaskState::kWaiting) edited = task;
+  }
+  ASSERT_NE(edited, kInvalidTaskId);
+  cluster.mutable_task(edited).state = TaskState::kCompleted;
+  EXPECT_EQ(cluster.num_waiting_tasks(), 2u);  // the edit skipped the count
+
+  IntegrityChecker checker(&cluster, &scheduler.graph_manager());
+  IntegrityReport report = checker.Check();
+  EXPECT_TRUE(std::any_of(report.violations.begin(), report.violations.end(),
+                          [](const std::string& v) { return v.find("waiting count") == 0; }));
+
+  SchedulerRoundResult repaired = scheduler.RunSchedulingRound(2 * kSec);
+  ASSERT_FALSE(repaired.recovery_actions.empty());
+  EXPECT_EQ(repaired.recovery_actions.front().kind, RecoveryActionKind::kRefreshedClusterStats);
+  EXPECT_EQ(cluster.num_waiting_tasks(), 1u);
+  EXPECT_EQ(repaired.tasks_unscheduled, 1u);
+  EXPECT_TRUE(checker.Check().clean());
 }
 
 // Deterministic fault injection: the same (seed, params) must produce the
