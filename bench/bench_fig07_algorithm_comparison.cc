@@ -51,11 +51,18 @@ std::unique_ptr<McmfSolver> MakeSolver(int algorithm) {
 void AlgorithmComparison(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));
   const int algorithm = static_cast<int>(state.range(1));
-  bench::BenchEnv env(bench::PolicyKind::kQuincy, machines, 10);
+  // The scheduler's own rounds run incremental cost scaling alone: a race's
+  // winner depends on timing, and which optimal flow it installs shapes the
+  // next round's graph, so the measured graphs (and solver_iters below)
+  // would differ from run to run.
+  FirmamentSchedulerOptions options;
+  options.solver.mode = SolverMode::kCostScalingOnly;
+  bench::BenchEnv env(bench::PolicyKind::kQuincy, machines, 10, options);
   SimTime now = env.FillToUtilization(0.5, 0);
   std::unique_ptr<McmfSolver> solver = MakeSolver(algorithm);
 
   Distribution dist;
+  uint64_t iterations = 0;
   for (auto _ : state) {
     env.Churn(machines / 10, machines / 10, now);
     now += kMicrosPerSecond;
@@ -64,8 +71,14 @@ void AlgorithmComparison(benchmark::State& state) {
     SolveStats stats = solver->Solve(&copy);
     state.SetIterationTime(static_cast<double>(stats.runtime_us) / 1e6);
     dist.Add(static_cast<double>(stats.runtime_us) / 1e6);
+    iterations += stats.iterations;
   }
   bench::ReportDistribution(state, dist);
+  // Σ solver iterations over the measured solves (for cycle canceling:
+  // feasible-flow augmentations plus cycles cancelled). The graphs are
+  // seeded, so this is the series' deterministic work, where its wall time
+  // drifts with the host.
+  state.counters["solver_iters"] = static_cast<double>(iterations);
 }
 
 }  // namespace

@@ -189,7 +189,7 @@ class CpuCondition(unittest.TestCase):
 
 
 class EqualsBaseline(unittest.TestCase):
-    gate = next(g for g in bg.GATES if g.op == "== baseline")
+    gate = next(g for g in bg.GATES if g.op == "== baseline" and g.key == "incremental_iters")
 
     def test_series_set_must_match(self):
         docs = [doc(self.gate, BASE_MS)]
@@ -197,6 +197,21 @@ class EqualsBaseline(unittest.TestCase):
         baseline["benchmarks"] = [row for row in baseline["benchmarks"]
                                   if not row["name"].startswith("fig11/quincy_policy/")]
         self.assertTrue(bg.check(self.gate, docs, baseline, 4)[0])
+
+
+class CycleCancelingWorkCounter(unittest.TestCase):
+    gate = next(g for g in bg.GATES if g.key == "solver_iters")
+
+    def test_gated_on_cycle_canceling_only(self):
+        names = [n for n in NAMES if bg.re.search(self.gate.series, n)]
+        self.assertEqual(names, ["fig07/cycle_canceling/50/0/iterations:3/manual_time"])
+
+    def test_one_extra_cycle_fails(self):
+        # Recorded baselines: 1494 (50 machines) and 4452 (150 machines).
+        for base in (1494, 4452):
+            with self.subTest(base=base):
+                self.assertEqual(run(self.gate, [base], baseline_value=base), [])
+                self.assertTrue(run(self.gate, [base + 1], baseline_value=base))
 
 
 class RemovalWorkCounters(unittest.TestCase):

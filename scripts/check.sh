@@ -83,8 +83,8 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   # loop thread (federation_test) — TSan is what proves the "pure reader"
   # and producers-vs-loop threading contracts rather than trusting them.
   # The race's stagger handshake (the cost-scaling leg sleeps on a condvar
-  # until relaxation finishes or runs late) and the price refine job that
-  # outlives its round run in solvers_test, solver_stress_test and
+  # until relaxation finishes or runs late) and the relaxation -> cost
+  # scaling potential handoff run in solvers_test, solver_stress_test and
   # flow_view_incremental_test.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DFIRMAMENT_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)"

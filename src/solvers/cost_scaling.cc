@@ -119,24 +119,37 @@ void CostScaling::SolveSynced(const std::atomic<bool>* cancel, SolveStats* out) 
   }
   const uint32_t n = view.num_nodes();
   const int64_t scale = CostScaleFor(n);
-  // Retained potentials (or an import from price refine) make a warm start
-  // meaningful; a first incremental call has nothing to warm-start from.
-  const bool have_warm_state = scale_ != 0 || has_pending_import_;
 
-  // Overflow guard: potentials rise by at most ~6·n·ε0 over the whole run.
+  // Overflow guard: potentials rise by at most ~6·n·ε0 over the whole run,
+  // on top of where they start.
   int64_t max_cost = 0;
   for (uint32_t a = 0; a < view.num_arcs(); ++a) {
     max_cost = std::max(max_cost, std::abs(view.Cost(a)));
   }
-  {
-    __int128 bound = static_cast<__int128>(max_cost) * scale * 8 * (n + 2);
-    CHECK(bound < (static_cast<__int128>(1) << 62));
+  const __int128 limit = static_cast<__int128>(1) << 62;
+  const __int128 rise = static_cast<__int128>(max_cost) * scale * 8 * (n + 2);
+  CHECK(rise < limit);
+  if (has_pending_import_) {
+    __int128 max_import = 0;
+    for (int64_t p : pending_import_) {
+      max_import = std::max(max_import, p < 0 ? -static_cast<__int128>(p) : p);
+    }
+    if (max_import * scale + rise >= limit) {
+      // The import cannot be scaled without overflow: drop it, and the
+      // retained potentials it superseded, and start cold.
+      has_pending_import_ = false;
+      pending_import_.clear();
+      scale_ = 0;
+    }
   }
+  // Retained potentials (or an import from relaxation) make a warm start
+  // meaningful; a first incremental call has nothing to warm-start from.
+  const bool have_warm_state = scale_ != 0 || has_pending_import_;
 
   // --- Establish starting flow and potentials (dense domain) ---------------
   if (has_pending_import_) {
     // Relaxation -> cost scaling handoff (§6.2): potentials are unscaled,
-    // keyed by original NodeId.
+    // keyed by original NodeId, and fit the scaled domain (checked above).
     view.GatherPotentials(pending_import_, &pi_);
     for (auto& p : pi_) {
       p *= scale;
@@ -272,7 +285,7 @@ void CostScaling::SolveSynced(const std::atomic<bool>* cancel, SolveStats* out) 
   bool descending = true;  // false while escalating after a stuck refine
   // First warm refine gets an up-front global price update: graph changes
   // since the last round added nodes whose potential starts at zero, far
-  // below the retained (price-refined) landscape, and one Dial pass prices
+  // below the retained or imported landscape, and one Dial pass prices
   // them instead of thousands of unit-ε relabel climbs.
   bool price_update_first = options_.incremental && have_warm_state && warm_refine;
   // The first warm refine runs under an iteration budget: when the round's

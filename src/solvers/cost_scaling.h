@@ -66,9 +66,10 @@ class CostScaling : public McmfSolver {
 
   // Installs externally computed (unscaled) potentials, keyed by original
   // NodeId, to warm-start the next Solve() — used for the relaxation ->
-  // cost scaling handoff after price refine (§6.2). Takes effect once: the
-  // first solve that gets past the prologue consumes it (a solve cancelled
-  // or degraded before its first refine phase leaves it pending).
+  // cost scaling handoff (§6.2). Takes effect once: the first solve that
+  // gets past the prologue consumes it (a solve cancelled or degraded
+  // before its first refine phase leaves it pending). An import too large
+  // to scale without overflow is dropped, and that solve starts cold.
   void ImportPotentials(std::vector<int64_t> unscaled_potentials);
 
   // Drops all retained state; the next Solve() runs from scratch even in

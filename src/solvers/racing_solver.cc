@@ -10,7 +10,6 @@
 
 #include "src/base/check.h"
 #include "src/base/timer.h"
-#include "src/solvers/solver_util.h"
 
 namespace firmament {
 
@@ -45,24 +44,12 @@ RacingSolver::~RacingSolver() {
   if (async_in_flight_) {
     async_ticket_.Wait();
   }
-  JoinRefine();
 }
 
 void RacingSolver::ResetState() {
   CHECK(!async_in_flight_);
-  JoinRefine();
   relaxation_.ResetState();
   cost_scaling_.ResetState();
-}
-
-uint64_t RacingSolver::JoinRefine() {
-  if (!refine_in_flight_) {
-    return 0;
-  }
-  WallTimer timer;
-  refine_ticket_.Wait();
-  refine_in_flight_ = false;
-  return timer.ElapsedMicros();
 }
 
 uint64_t RacingSolver::CostScalingDelayUs(const FlowNetwork& network) {
@@ -99,9 +86,7 @@ bool RacingSolver::async_solve_done() const {
 }
 
 SolveStats RacingSolver::Solve(FlowNetwork* network) {
-  const uint64_t refine_wait_us = JoinRefine();
   last_round_ = RoundStats{};
-  last_round_.price_refine_us = refine_wait_us;
   // One shared deadline per round: all legs poll it at their cancellation
   // sites and return kDegraded once it expires, bounding the control loop's
   // stall on an overrun solve (the first expiry flips a sticky flag, so the
@@ -246,19 +231,10 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   (relaxation_won ? relaxation_.view() : cost_scaling_.view()).WriteBackFlow(network);
 
   if (relaxation_won) {
-    // Hand the solution to incremental cost scaling for the next round:
-    // price refine (§6.2) recomputes reduced potentials from the flow, which
-    // warm-start far better than relaxation's raw, typically much larger,
-    // potentials (Fig. 13). Relaxation's persistent view holds exactly the
-    // graph and flow just written back, so refine runs on it and no view is
-    // built for the handoff. The placements do not depend on it, so it runs
-    // on the worker after the round returns; the next Solve() joins it.
-    refine_in_flight_ = true;
-    refine_ticket_ = worker_->Submit([this] {
-      std::vector<int64_t> refined;
-      CHECK(PriceRefine(relaxation_.view(), &refined));
-      cost_scaling_.ImportPotentials(std::move(refined));
-    });
+    // Hand the solution to incremental cost scaling for the next round
+    // (§6.2): relaxation's final potentials are optimal duals for the flow
+    // just written back, keyed by original NodeId like cost scaling's own.
+    cost_scaling_.ImportPotentials(relaxation_.potentials());
   }
   return result;
 }

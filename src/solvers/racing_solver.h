@@ -13,11 +13,13 @@
 // arrival or churn burst) or too few samples exist yet. If relaxation
 // finishes first, the waiting leg never solves at all.
 //
-// State handoff (§6.2): when relaxation wins, price refine recomputes
-// reduced potentials from its solution so the next incremental cost scaling
-// run warm-starts cheaply (Fig. 13 shows 4x). Refine does not change the
-// round's placements, so it runs after the round returns, as a job on the
-// cost-scaling worker; the next round joins it before touching either view.
+// State handoff (§6.2): when relaxation wins, its final potentials warm-start
+// the next round's incremental cost scaling. They are already optimal duals
+// for the flow written back, so the race imports them as they are, on the
+// calling thread. The paper price-refines them first (Fig. 13 shows 4x);
+// here the refine's smaller potentials did not make the next solve faster
+// (bench_fig13_price_refine), because cost scaling's warm start measures the
+// violation and reprices the carried flow itself.
 //
 // Race isolation (§6.2 incremental contract): both algorithms race on their
 // own *persistent* FlowNetworkViews of the one canonical (const) network —
@@ -81,9 +83,8 @@ struct RoundStats {
   // contention or a short relaxation history), otherwise the moment
   // relaxation ran past its deadline; kNotStarted if it never solved.
   uint64_t cost_scaling_start_us = kNotStarted;
-  // Time this round waited for the previous round's price refine to finish
-  // before the race could start (its critical-path share; the refine
-  // itself runs between rounds).
+  // Always 0: the race hands relaxation's potentials over without a price
+  // refine. Kept because the vtbench driver still reads it.
   uint64_t price_refine_us = 0;
 };
 
@@ -93,7 +94,7 @@ class RacingSolver {
 
   RacingSolver(const RacingSolver&) = delete;
   RacingSolver& operator=(const RacingSolver&) = delete;
-  // Joins any in-flight async solve and price refine.
+  // Joins any in-flight async solve.
   ~RacingSolver();
 
   // Solves the canonical network in place: on return, the network carries
@@ -124,11 +125,10 @@ class RacingSolver {
   // without rebuilding the scheduler stack.
   void set_solve_budget_us(uint64_t budget_us) { options_.solve_budget_us = budget_us; }
 
-  // Drops warm state (e.g. when switching workloads in benchmarks), after
-  // joining the previous round's price refine.
+  // Drops warm state (e.g. when switching workloads in benchmarks).
   void ResetState();
 
-  // Threads ever spawned for the race's worker (cost-scaling leg and refine) — a *monotonic*
+  // Threads ever spawned for the race's cost-scaling worker — a *monotonic*
   // counter, so a regression back to per-round workers (recreating the
   // pool each Solve) shows up as a number that grows with rounds, not as a
   // constant 1. The persistent worker keeps it at 1 no matter how many
@@ -138,9 +138,6 @@ class RacingSolver {
 
  private:
   SolveStats SolveRace(FlowNetwork* network);
-  // Waits for the previous round's price refine job, if one is in flight,
-  // and returns the microseconds spent waiting.
-  uint64_t JoinRefine();
   // How long the cost-scaling leg waits for relaxation this round, or 0 to
   // start it at once (see the thresholds in racing_solver.cc).
   uint64_t CostScalingDelayUs(const FlowNetwork& network);
@@ -150,16 +147,10 @@ class RacingSolver {
   Relaxation relaxation_;
   CostScaling cost_scaling_;
   RoundStats last_round_;
-  // Persistent worker for the cost-scaling leg of the race and the price
-  // refine job after it; created lazily on the first kRace round so
-  // single-algorithm modes never hold a thread.
+  // Persistent worker for the cost-scaling leg of the race; created lazily
+  // on the first kRace round so single-algorithm modes never hold a thread.
   std::unique_ptr<ThreadPool> worker_;
   size_t worker_spawns_ = 0;
-  // The price refine job submitted by the last relaxation-won round. It
-  // reads relaxation's view and writes cost scaling's pending import, so
-  // everything that touches either joins it first (JoinRefine).
-  ThreadPool::Ticket refine_ticket_;
-  bool refine_in_flight_ = false;
   // Runtimes of relaxation's last completed race solves (a ring), from
   // which the cost-scaling leg's stagger deadline is derived.
   std::vector<uint64_t> relaxation_us_;

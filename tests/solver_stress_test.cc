@@ -363,24 +363,47 @@ TEST(ApproximateSolveTest, RelaxationApproximationLeavesSupplyUnrouted) {
 // Price refine interactions.
 // ---------------------------------------------------------------------------
 
+// The relaxation -> cost scaling handoff (§6.2) must stay exact whichever
+// potentials it carries: relaxation's own duals (what the race imports) or
+// their price-refined form (Fig. 13's handoff). Each round relaxation
+// solves, hands over, the graph changes, and the warm leg must match a
+// from-scratch solve.
 TEST(PriceRefineTest, HandoffPotentialsAcceleratingWarmStartStayExact) {
-  SchedulingGraphSpec spec;
-  spec.num_tasks = 100;
-  spec.seed = 31;
-  FlowNetwork net = MakeSchedulingGraph(spec);
-  Relaxation relaxation;
-  ASSERT_EQ(relaxation.Solve(&net).outcome, SolveOutcome::kOptimal);
-  std::vector<int64_t> refined;
-  ASSERT_TRUE(PriceRefine(net, &refined));
-  CostScalingOptions options;
-  options.incremental = true;
-  CostScaling warm(options);
-  warm.ImportPotentials(refined);
-  SolveStats stats = warm.Solve(&net);
-  ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal);
-  FlowNetwork scratch = net;
-  CostScaling fresh;
-  EXPECT_EQ(fresh.Solve(&scratch).total_cost, stats.total_cost);
+  for (bool refine : {false, true}) {
+    SCOPED_TRACE(refine ? "price-refined" : "raw relaxation potentials");
+    SchedulingGraphSpec spec;
+    spec.num_tasks = 100;
+    spec.seed = 31;
+    FlowNetwork net = MakeSchedulingGraph(spec);
+    net.EnableChangeRecording(true);
+    Rng rng(17);
+    Relaxation relaxation;
+    CostScalingOptions options;
+    options.incremental = true;
+    CostScaling warm(options);
+    for (int round = 0; round < 6; ++round) {
+      ASSERT_EQ(relaxation.Solve(&net).outcome, SolveOutcome::kOptimal) << "round " << round;
+      std::vector<int64_t> potentials = relaxation.potentials();
+      if (refine) {
+        ASSERT_TRUE(PriceRefine(net, &potentials));
+      }
+      warm.ImportPotentials(std::move(potentials));
+      net.ClearChanges();
+      // Re-price a few arcs, as wait times and locality do between rounds.
+      for (int i = 0; i < 12; ++i) {
+        ArcId arc = static_cast<ArcId>(rng.NextUint64(net.ArcCapacityBound()));
+        if (net.IsValidArc(arc)) {
+          net.SetArcCost(arc, rng.NextInt(0, 100));
+        }
+      }
+      FlowNetwork scratch = net;
+      SolveStats stats = warm.Solve(&net);
+      ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+      EXPECT_TRUE(CheckOptimality(net).ok()) << "round " << round;
+      CostScaling fresh;
+      EXPECT_EQ(fresh.Solve(&scratch).total_cost, stats.total_cost) << "round " << round;
+    }
+  }
 }
 
 TEST(TryProveOptimalTest, ProvesOptimalFlowsAndRejectsSuboptimal) {

@@ -5,6 +5,7 @@
 // conditions on every instance.
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -542,8 +543,11 @@ TEST(PriceRefineTest, FailsOnSuboptimalFlow) {
 }
 
 TEST(PriceRefineTest, RefinedPotentialsAreSmallerThanRelaxations) {
-  // Relaxation's dual ascents inflate potentials; price refine computes the
-  // minimal ones — the mechanism behind the Fig. 13 speedup.
+  // Relaxation's dual ascents inflate potentials; price refine computes
+  // smaller ones for the same flow. The paper credits the gap for its
+  // Fig. 13 speedup; here raw and refined imports warm-start cost scaling
+  // about equally fast (bench_fig13_price_refine), so the race imports
+  // relaxation's potentials as they are.
   SchedulingGraphSpec spec;
   spec.seed = 11;
   spec.num_tasks = 60;
@@ -732,16 +736,29 @@ TEST(RacingSolverTest, StaggeredLegWaitsOnQuietRoundsAndStartsOnBursts) {
   EXPECT_GT(unstarted_patched, 0);
 }
 
-// A relaxation-won round returns before its price refine finishes: the
-// refine runs on the race worker, reading relaxation's view and writing
-// cost scaling's import. ResetState() and the destructor must join it (the
-// sanitizer legs run this test).
-TEST(RacingSolverTest, ResetAndDestroyJoinInFlightRefine) {
+// When relaxation wins, the race hands its potentials straight to the
+// cost-scaling leg; a burst past the journal trigger then starts that leg at
+// once, warm from them. Every round must still cost what a fresh solve
+// does, and ResetState() and destruction right after a relaxation win must
+// be safe (the sanitizer legs run this test).
+TEST(RacingSolverTest, BurstAfterRelaxationWinStartsFromHandedOffPotentials) {
   SchedulingGraphSpec spec;
   spec.seed = 3;
   spec.num_tasks = 120;
   spec.num_machines = 20;
   FlowNetwork net = MakeSchedulingGraph(spec);
+  // ApplyRandomChanges adds tasks faster than it removes them, and a round
+  // count that depends on who wins the race must not run the unscheduled
+  // aggregator out of capacity.
+  for (NodeId node : net.ValidNodes()) {
+    if (net.Kind(node) == NodeKind::kUnscheduled) {
+      for (ArcRef ref : net.Adjacency(node)) {
+        if (!FlowNetwork::RefIsReverse(ref)) {
+          net.SetArcCapacity(FlowNetwork::RefArc(ref), 100 * spec.num_tasks);
+        }
+      }
+    }
+  }
   net.EnableChangeRecording(true);
   Rng rng(5);
   int round = 0;
@@ -751,29 +768,38 @@ TEST(RacingSolverTest, ResetAndDestroyJoinInFlightRefine) {
       SolveStats stats = racing->Solve(&net);
       ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
       ExpectScratchCost(net, stats, round);
+      EXPECT_EQ(racing->last_round().price_refine_us, 0u);
       if (racing->last_round().winner_algorithm == "relaxation") {
         return;
       }
     }
     FAIL() << "relaxation never won";
   };
+  auto burst = [&](RacingSolver* racing) {
+    ApplyRandomChanges(&net, &rng, 60);
+    ASSERT_GT(net.Changes().size() * 10, net.NumNodes());
+    SolveStats stats = racing->Solve(&net);
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal) << "round " << round;
+    EXPECT_EQ(racing->last_round().cost_scaling_start_us, 0u) << "round " << round;
+    ExpectScratchCost(net, stats, round++);
+  };
   {
     RacingSolver racing;
+    for (int i = 0; i < 4; ++i) {
+      solve_until_relaxation_wins(&racing);
+      burst(&racing);
+    }
     solve_until_relaxation_wins(&racing);
     racing.ResetState();
-    ApplyRandomChanges(&net, &rng, 3);
-    SolveStats stats = racing.Solve(&net);
-    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal);
-    EXPECT_EQ(racing.last_round().price_refine_us, 0u);  // ResetState already joined it
-    ExpectScratchCost(net, stats, round);
+    burst(&racing);
     solve_until_relaxation_wins(&racing);
-  }  // destroyed with the refine possibly still running
+  }  // destroyed straight after a relaxation win
   CostScaling fresh;
   FlowNetwork copy = net;
   EXPECT_EQ(fresh.Solve(&copy).total_cost, net.TotalCost());
 }
 
-// A solve cancelled in its prologue must leave a pending price-refine import
+// A solve cancelled in its prologue must leave a pending potential import
 // for the next solve: the race's staggered leg is cancelled this way on
 // most rounds.
 TEST(CostScalingTest, CancelledPrologueKeepsPendingImport) {
@@ -809,6 +835,42 @@ TEST(CostScalingTest, CancelledPrologueKeepsPendingImport) {
   // The import must change the warm start, or this test proves nothing.
   ASSERT_NE(imported, second_round_iterations(false, false));
   EXPECT_EQ(second_round_iterations(true, true), imported);
+}
+
+// An import whose largest potential times the cost scale would overflow
+// is dropped: the solve takes the cold path, doing exactly the work of a
+// fresh solver on the same flow, and is still exact.
+TEST(CostScalingTest, OversizedImportStartsCold) {
+  SchedulingGraphSpec spec;
+  spec.seed = 9;
+  spec.num_tasks = 60;
+  CostScalingOptions options;
+  options.incremental = true;
+  for (int64_t huge : {std::numeric_limits<int64_t>::max() / 3, -(int64_t{1} << 59) - 12345,
+                       std::numeric_limits<int64_t>::min()}) {
+    FlowNetwork net = MakeSchedulingGraph(spec);
+    net.EnableChangeRecording(true);
+    CostScaling solver(options);
+    ASSERT_EQ(solver.Solve(&net).outcome, SolveOutcome::kOptimal);
+    net.ClearChanges();
+    // A few cost changes only: a freshly built view numbers nodes and arcs
+    // as the patched one does, and the warm start would use the import.
+    for (ArcId arc = 0; arc < net.ArcCapacityBound(); arc += 97) {
+      if (net.IsValidArc(arc)) {
+        net.SetArcCost(arc, (net.Cost(arc) + 13) % 100);
+      }
+    }
+    CostScaling fresh(options);
+    FlowNetwork fresh_net = net;
+    const SolveStats cold = fresh.Solve(&fresh_net);
+    std::vector<int64_t> oversized(net.NodeCapacity(), 1);
+    oversized[net.ValidNodes().back()] = huge;
+    solver.ImportPotentials(std::move(oversized));
+    SolveStats stats = solver.Solve(&net);
+    ASSERT_EQ(stats.outcome, SolveOutcome::kOptimal);
+    EXPECT_EQ(stats.iterations, cold.iterations) << "huge " << huge;
+    ExpectScratchCost(net, stats, 1);
+  }
 }
 
 // Approximate termination (§5.1): a tiny budget yields an approximate or
