@@ -5,7 +5,9 @@
 // (placements per wall second), p50/p99 submit-to-placement latency, and
 // the placement-quality cost; federated series additionally report
 // quality_loss relative to centralized — that trade-off curve is the
-// figure. A summary row derives federation_speedup (centralized round wall
+// figure — plus the deterministic pins behind the drifting walls: the cell
+// rounds run and skipped, and delta_digest, a hash of the merged delta
+// stream. A summary row derives federation_speedup (centralized round wall
 // over 4-cell round wall) and a cells1_identical bit from a scripted
 // one-cell-vs-centralized equivalence drive.
 //
@@ -17,8 +19,8 @@
 // scales with the *active* slice of the cluster. The centralized scheduler
 // has one graph every event touches, so it pays full-cluster cost every
 // round; on top of that its one solve is superlinear in graph size while
-// each cell solves a fraction. With >= 4 cores the concurrent cell rounds
-// stack a further multiplier on the active cells.
+// each cell solves a fraction. With >= 4 cores the active cells' solves
+// also overlap, each on its own scheduler's dispatch worker.
 //
 // The solver is pinned to incremental cost scaling (Firmament's cost-scaling
 // leg) — one deterministic algorithm on both sides isolates the
@@ -100,6 +102,9 @@ struct BenchState {
   std::map<TaskId, double> submit_walls;
   Distribution latency;
   uint64_t placed = 0;
+  // FNV-1a over every delta the series applied, in order (kind, task, from,
+  // to): the deterministic behaviour pin behind the drifting wall rows.
+  uint64_t digest = TemplateHashInit();
   // Keep the concrete backend alive.
   std::unique_ptr<bench::BenchEnv> central;
   std::unique_ptr<FederationCoordinator> fed;
@@ -108,6 +113,10 @@ struct BenchState {
 void ApplyDeltas(BenchState* bench, const std::vector<SchedulingDelta>& deltas) {
   const double now_wall = bench->wall.ElapsedSeconds();
   for (const SchedulingDelta& delta : deltas) {
+    bench->digest = TemplateHashMix(bench->digest, static_cast<uint64_t>(delta.kind));
+    bench->digest = TemplateHashMix(bench->digest, delta.task);
+    bench->digest = TemplateHashMix(bench->digest, delta.from);
+    bench->digest = TemplateHashMix(bench->digest, delta.to);
     if (delta.kind == SchedulingDelta::Kind::kPlace) {
       bench->running.push_back(delta.task);
       ++bench->placed;
@@ -283,6 +292,9 @@ void RunSeries(benchmark::State& state, int key, BenchState* bench) {
         static_cast<double>(bench->fed->counters().cell_rounds_run);
     state.counters["cell_rounds_skipped"] =
         static_cast<double>(bench->fed->counters().cell_rounds_skipped);
+    // The JSON prints counters to six significant digits; folding the
+    // digest below 10^6 keeps it exact there.
+    state.counters["delta_digest"] = static_cast<double>(bench->digest % 1'000'000);
   }
 }
 

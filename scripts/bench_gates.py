@@ -147,13 +147,16 @@ GATES = [
     Gate("fig22", r"fig22/summary", "quality_loss", "<=", 0.05, None, 1,
          "4-cell placement quality loss must stay <= 0.05 vs centralized"),
     # The federated wall rows drift with the host; the per-cell round
-    # schedule behind them is deterministic, and the move pass must not
-    # change it.
+    # schedule and the merged delta stream behind them are deterministic,
+    # and neither the move pass nor how the cells' rounds are threaded may
+    # change them.
     Gate("fig22", r"fig22/federated/", "cell_rounds_run", "== baseline", None, None, 1,
          "federated churn ran a different number of cell rounds than the baseline"),
     Gate("fig22", r"fig22/federated/", "cell_rounds_skipped", "== baseline", None, None, 1,
          "federated churn skipped a different number of clean cell rounds than the baseline"),
-    # Concurrent cell rounds need the cores; below 4 the structural
+    Gate("fig22", r"fig22/federated/", "delta_digest", "== baseline", None, None, 1,
+         "federated churn merged a different delta stream than the baseline"),
+    # Concurrent cell solves need the cores; below 4 the structural
     # single-core win (clean-cell skip, split solves) alone must clear 1.3x.
     Gate("fig22", r"fig22/summary", "federation_speedup", ">=", 1.8, ">=4", 3,
          "4-cell round wall must beat centralized"),

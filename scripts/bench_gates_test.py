@@ -271,5 +271,30 @@ class FederatedRoundCounters(unittest.TestCase):
                     self.assertTrue(bg.check(gate, [self.docs(gate, cells)], baseline, 4)[0])
 
 
+class FederatedDeltaDigest(unittest.TestCase):
+    gate = next(g for g in bg.GATES if g.key == "delta_digest")
+    # Recorded digests per cell count.
+    BASELINE = {"1": 572073, "2": 504513, "4": 139512}
+
+    def docs(self, bump=None):
+        """One run of the three federated series at the recorded digests,
+        with `bump` (a cell count) carrying a different one."""
+        return {"benchmarks": [
+            {"name": f"fig22/federated/{cells}/iterations:8/manual_time", "real_time": 1.0,
+             "time_unit": "ms", "delta_digest": digest + (1 if cells == bump else 0)}
+            for cells, digest in self.BASELINE.items()]}
+
+    def test_gated_on_federated_series_only(self):
+        names = [n for n in NAMES if bg.re.search(self.gate.series, n)]
+        self.assertEqual(names, [n for n in NAMES if n.startswith("fig22/federated/")])
+
+    def test_any_cell_count_with_another_stream_fails(self):
+        baseline = self.docs()
+        self.assertEqual(bg.check(self.gate, [self.docs()], baseline, 4)[0], [])
+        for cells in self.BASELINE:
+            with self.subTest(cells=cells):
+                self.assertTrue(bg.check(self.gate, [self.docs(cells)], baseline, 4)[0])
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -77,11 +77,12 @@ if [ "${FIRMAMENT_SKIP_SANITIZE:-0}" != "1" ]; then
   # submitter/machine/completer threads while the loop thread schedules
   # (service_test), and the trace replay driver's lineage maps are hit from
   # the replay thread and the loop's admission/placement callbacks at once
-  # (trace_test). The federation coordinator fans per-cell rounds out on a
-  # ThreadPool while claiming the cells share no mutable state, and the
-  # federated service runs multi-producer submits against the coordinator's
-  # loop thread (federation_test) — TSan is what proves the "pure reader"
-  # and producers-vs-loop threading contracts rather than trusting them.
+  # (trace_test). A federated round solves every running cell at once, each
+  # on its own scheduler's dispatch worker, while claiming the cells share
+  # no mutable state, and the federated service runs multi-producer submits
+  # against the coordinator's loop thread (federation_test) — TSan is what
+  # proves the "pure reader" and producers-vs-loop threading contracts
+  # rather than trusting them.
   # The race's stagger handshake (the cost-scaling leg sleeps on a condvar
   # until relaxation finishes or runs late) and the relaxation -> cost
   # scaling potential handoff run in solvers_test, solver_stress_test and

@@ -1,7 +1,6 @@
 #include "src/federation/cell_scheduler.h"
 
 #include "src/base/check.h"
-#include "src/core/flow_graph_manager.h"
 
 namespace firmament {
 
@@ -28,10 +27,6 @@ void CellScheduler::MapMachine(MachineId local, MachineId global) {
 MachineId CellScheduler::ToGlobalMachine(MachineId local) const {
   CHECK_LT(static_cast<size_t>(local), machine_to_global_.size());
   return machine_to_global_[local];
-}
-
-size_t CellScheduler::LiveGraphNodes() const {
-  return scheduler_->graph_manager().network()->NumNodes();
 }
 
 }  // namespace firmament

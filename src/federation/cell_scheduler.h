@@ -3,9 +3,9 @@
 // FlowGraphManager, RacingSolver, and PlacementTemplateCache), plus the
 // local<->global id bridge the FederationCoordinator uses to route events.
 //
-// Cells are fully share-nothing: nothing in here is touched by more than
-// one thread during the coordinator's concurrent round fan-out, and all id
-// translation happens on the coordinator thread before/after the barrier.
+// Cells are fully share-nothing. Everything in here runs on the
+// coordinator's thread except the cell's own solve, which runs on its
+// scheduler's dispatch worker and reads only the cell's network.
 
 #ifndef SRC_FEDERATION_CELL_SCHEDULER_H_
 #define SRC_FEDERATION_CELL_SCHEDULER_H_
@@ -60,8 +60,7 @@ class CellScheduler {
   void MapMachine(MachineId local, MachineId global);
   MachineId ToGlobalMachine(MachineId local) const;
 
-  // --- round-sizing metrics (budget split, routing, move pass) -----------
-  size_t LiveGraphNodes() const;
+  // --- load metrics (routing, move pass) ---------------------------------
   size_t WaitingTasks() const { return cluster_.num_waiting_tasks(); }
   int64_t FreeSlots() const {
     return cluster_.TotalSlots() - cluster_.UsedSlots();

@@ -45,11 +45,6 @@ FederationCoordinator::FederationCoordinator(size_t cells, CellPolicyFactory fac
     cells_.push_back(std::make_unique<CellScheduler>(static_cast<uint32_t>(i),
                                                      factory, options_.cell));
   }
-  size_t threads = options_.threads;
-  if (threads == static_cast<size_t>(-1)) {
-    threads = std::min(cells - 1, ThreadPool::DefaultThreads());
-  }
-  pool_ = std::make_unique<ThreadPool>(threads);
   cell_dirty_.assign(cells, 1);
 }
 
@@ -103,7 +98,7 @@ JobId FederationCoordinator::SubmitJob(JobType type, int32_t priority,
                                        std::vector<TaskId>* global_task_ids) {
   CHECK(!tasks.empty());
   const size_t task_count = tasks.size();
-  const uint32_t target = RouteJob(tasks);
+  const uint32_t target = RouteJob();
   cell_dirty_[target] = 1;
   CellScheduler& cell = *cells_[target];
   TemplateInstallResult local_install;
@@ -173,40 +168,12 @@ int64_t FederationCoordinator::CellHeadroom(uint32_t cell) const {
   return cells_[cell]->FreeSlots() - static_cast<int64_t>(cells_[cell]->WaitingTasks());
 }
 
-uint32_t FederationCoordinator::RouteJob(const std::vector<TaskDescriptor>& tasks) {
+uint32_t FederationCoordinator::RouteJob() const {
   if (cells_.size() == 1) {
     return 0;
   }
-  if (locality_ != nullptr) {
-    // Locality-first: the cell holding the most input bytes across the
-    // job's candidate machines wins, provided it has room for the job.
-    std::vector<int64_t> bytes(cells_.size(), 0);
-    std::vector<MachineId> candidates;
-    for (const TaskDescriptor& task : tasks) {
-      candidates.clear();
-      locality_->CandidateMachines(task, &candidates);
-      for (MachineId machine : candidates) {
-        auto it = machine_routes_.find(machine);
-        if (it == machine_routes_.end()) continue;
-        bytes[it->second.cell] += locality_->BytesOnMachine(task, machine);
-      }
-    }
-    uint32_t best = kNoCell;
-    int64_t best_bytes = 0;
-    for (uint32_t c = 0; c < cells_.size(); ++c) {
-      if (bytes[c] > best_bytes &&
-          CellHeadroom(c) >= static_cast<int64_t>(tasks.size())) {
-        best = c;
-        best_bytes = bytes[c];
-      }
-    }
-    if (best != kNoCell) {
-      ++counters_.jobs_routed_by_locality;
-      return best;
-    }
-  }
-  // Least-loaded fallback: max headroom, ties to the lowest index (strict >
-  // keeps it deterministic).
+  // Least-loaded: max headroom, ties to the lowest index (strict > keeps it
+  // deterministic).
   uint32_t best = 0;
   int64_t best_headroom = CellHeadroom(0);
   for (uint32_t c = 1; c < cells_.size(); ++c) {
@@ -354,36 +321,6 @@ void FederationCoordinator::MoveStuckJobs(SimTime now, FederationRoundResult* re
 
 // --- round -----------------------------------------------------------------
 
-void FederationCoordinator::SplitSolveBudget() {
-  last_budget_split_.assign(cells_.size(), 0);
-  if (options_.solve_budget_us == 0) {
-    return;
-  }
-  // Live graph size is the best single predictor of solve work, so each
-  // solving cell gets a proportional share of the global budget. Floors
-  // round down (sum <= global); a solving cell never gets 0, which would
-  // mean "unlimited" to the solver.
-  std::vector<size_t> size(cells_.size(), 0);
-  size_t total = 0;
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    if (cells_[c]->cluster().num_tasks() > 0 ||
-        cells_[c]->scheduler().graph_manager().num_task_nodes() > 0) {
-      size[c] = cells_[c]->LiveGraphNodes();
-      total += size[c];
-    }
-  }
-  if (total == 0) {
-    return;
-  }
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    if (size[c] == 0) continue;
-    uint64_t share = options_.solve_budget_us * size[c] / total;
-    if (share == 0) share = 1;
-    last_budget_split_[c] = share;
-    cells_[c]->scheduler().solver().set_solve_budget_us(share);
-  }
-}
-
 void FederationCoordinator::MergeCellRound(CellScheduler& cell,
                                            const SchedulerRoundResult& round,
                                            FederationRoundResult* result) {
@@ -421,16 +358,14 @@ FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
   FederationRoundResult result;
   result.cell_outcomes.assign(cells_.size(), SolveOutcome::kOptimal);
   ++counters_.rounds;
-  SplitSolveBudget();
 
-  // Decide which cells run before fanning out: idle cells (nothing live,
-  // nothing pending in the graph) and clean cells (no routed event since
-  // their last round, zero waiting tasks — so a provably unchanged graph)
-  // skip the round entirely. This is where a federated round's cost scales
-  // with the active cells instead of the whole cluster.
-  std::vector<SchedulerRoundResult> rounds(cells_.size());
-  std::vector<uint8_t> ran(cells_.size(), 0);
-  for (size_t i = 0; i < cells_.size(); ++i) {
+  // Idle cells (nothing live, nothing pending in the graph) and clean cells
+  // (no routed event since their last round, zero waiting tasks — so a
+  // provably unchanged graph) skip the round entirely. This is where a
+  // federated round's cost scales with the active cells instead of the
+  // whole cluster.
+  std::vector<uint32_t> running;
+  for (uint32_t i = 0; i < cells_.size(); ++i) {
     CellScheduler& cell = *cells_[i];
     if (cell.cluster().num_tasks() == 0 &&
         cell.scheduler().graph_manager().num_task_nodes() == 0) {
@@ -441,36 +376,38 @@ FederationRoundResult FederationCoordinator::RunRound(SimTime now) {
       continue;
     }
     ++counters_.cell_rounds_run;
-    ran[i] = 1;
+    running.push_back(i);
   }
 
-  // Concurrent per-cell rounds. Cells share no mutable state (each owns its
-  // cluster, graph, solver, and template cache); ParallelFor's barrier
-  // orders every cell's writes before the single-threaded merge below.
-  pool_->ParallelFor(cells_.size(), [&](size_t i) {
-    if (!ran[i]) {
-      return;
+  // Each running cell updates its graph on this thread and solves on its
+  // own dispatch worker, so the running cells solve at once. The last one
+  // solves on this thread, which would otherwise only wait.
+  for (uint32_t i : running) {
+    if (i == running.back()) {
+      cells_[i]->scheduler().StartRound(now);
+    } else {
+      cells_[i]->scheduler().StartRoundAsync(now);
     }
-    rounds[i] = cells_[i]->scheduler().RunSchedulingRound(now);
-  });
+  }
 
+  // Apply in cell order: each ApplyRound joins that cell's solve.
   bool any_degraded = false;
   int worst = -1;
   bool all_infeasible = true;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (!ran[i]) continue;
+  for (uint32_t i : running) {
+    const SchedulerRoundResult round = cells_[i]->scheduler().ApplyRound(now);
     ++result.cells_run;
-    result.cell_outcomes[i] = rounds[i].outcome;
-    MergeCellRound(*cells_[i], rounds[i], &result);
+    result.cell_outcomes[i] = round.outcome;
+    MergeCellRound(*cells_[i], round, &result);
     // A cell ending its round with zero waiting tasks has a static graph
     // until the next routed event (no unscheduled-cost ramp left to climb),
     // so it is clean and skippable. A degraded/infeasible outcome keeps it
     // dirty regardless: the solver owes the cell a retry.
-    cell_dirty_[i] = cells_[i]->WaitingTasks() > 0 || OutcomeSeverity(rounds[i].outcome) >= 2;
-    any_degraded |= rounds[i].outcome == SolveOutcome::kDegraded;
-    if (OutcomeSeverity(rounds[i].outcome) < 3) {
+    cell_dirty_[i] = cells_[i]->WaitingTasks() > 0 || OutcomeSeverity(round.outcome) >= 2;
+    any_degraded |= round.outcome == SolveOutcome::kDegraded;
+    if (OutcomeSeverity(round.outcome) < 3) {
       all_infeasible = false;
-      worst = std::max(worst, OutcomeSeverity(rounds[i].outcome));
+      worst = std::max(worst, OutcomeSeverity(round.outcome));
     }
   }
   if (result.cells_run == 0) {

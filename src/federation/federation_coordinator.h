@@ -2,8 +2,8 @@
 // thin coordinator, after "Eventually-Consistent Federated Scheduling for
 // Data Center Workloads" (PAPERS.md). Because MCMF solve cost is superlinear
 // in graph size, K solves over n/K machines beat one n-machine solve even on
-// a single core; on a multi-core box the per-cell rounds additionally run
-// concurrently on a ThreadPool.
+// a single core; on a multi-core box the running cells' solves additionally
+// overlap, each on its own scheduler's solve dispatch worker.
 //
 // Contract overview:
 //  * Partitioning is rack-aligned: a rack (and every machine in it) belongs
@@ -12,12 +12,16 @@
 //    dense local ids and the coordinator's route tables translate at the
 //    boundary (with cells=1 the two id spaces coincide, which is what makes
 //    the centralized path byte-identical).
-//  * Job routing is locality-first (sum of DataLocalityInterface bytes per
-//    cell over each task's candidate machines, if a locality source is
-//    attached and the best cell has headroom), then least-loaded (max
-//    free-slots minus waiting-tasks headroom; ties to the lowest index).
-//    Both terms are each cell's own exact counts. Deterministic: no RNG
-//    anywhere in the coordinator.
+//  * Job routing is least-loaded: max free-slots minus waiting-tasks
+//    headroom, from each cell's own exact counts; ties to the lowest index.
+//    Deterministic: no RNG anywhere in the coordinator.
+//  * Threading: every coordinator method, and all policy and graph code of
+//    every cell, runs on the calling thread. RunRound starts each running
+//    cell's round (graph update here, solve on that cell's dispatch worker
+//    via FirmamentScheduler::StartRoundAsync; the last running cell solves
+//    here), then applies them in cell order (ApplyRound joins the solve).
+//    The only work off the calling thread is the cells' solves, and each
+//    reads only its own cell's network.
 //  * Jobs move between cells in one pass at the end of each round, and
 //    only when the cell aggregates say some work cannot be placed where it
 //    is: a donor cell (more waiting tasks than free slots) exists beside a
@@ -31,10 +35,9 @@
 //    resubmit through SubmitJob, so staging, placement templates, and
 //    integrity checking in the cells keep working unmodified. An all-full
 //    cluster has no receiver, so it stays quiescent.
-//  * Solve budgets federate: a global solve_budget_us is split across the
-//    cells that will actually solve this round, proportional to live graph
-//    size, so a federated round degrades under the same global budget as a
-//    centralized one.
+//  * Solve budgets are per cell: every running cell solves at once, so each
+//    keeps the whole FederationOptions::cell.solver.solve_budget_us, as a
+//    centralized scheduler does.
 //  * Clean cells skip their round. A cell with no routed event since its
 //    last round and no waiting tasks has a provably unchanged flow graph:
 //    only the unscheduled-cost ramp of *waiting* tasks makes costs
@@ -57,8 +60,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/thread_pool.h"
-#include "src/core/data_locality.h"
 #include "src/core/placement_template.h"
 #include "src/core/scheduler.h"
 #include "src/federation/cell_scheduler.h"
@@ -68,13 +69,8 @@ namespace firmament {
 struct FederationOptions {
   // Per-cell scheduler stack configuration, shared by every cell.
   FirmamentSchedulerOptions cell;
-  // Global per-round solve budget split across solving cells proportional
-  // to live graph size (0 = no budget; cells keep their own settings).
-  uint64_t solve_budget_us = 0;
-  // Worker threads for the concurrent cell rounds. SIZE_MAX = auto:
-  // min(cells - 1, ThreadPool::DefaultThreads()); the calling thread
-  // participates, so 0 runs the cells sequentially on the caller (the
-  // single-core deployment — the superlinear-solve win still applies).
+  // Never read: the running cells solve on their own schedulers' dispatch
+  // workers. Kept while the end-to-end benchmark still sets it.
   size_t threads = static_cast<size_t>(-1);
 };
 
@@ -86,7 +82,6 @@ struct FederationCounters {
   uint64_t rebalance_moves = 0;
   uint64_t cell_rounds_run = 0;      // per-cell scheduling rounds executed
   uint64_t cell_rounds_skipped = 0;  // elided: cell was clean (no events, no waiting)
-  uint64_t jobs_routed_by_locality = 0;
 };
 
 struct FederationRoundResult {
@@ -113,10 +108,6 @@ class FederationCoordinator {
   FederationCoordinator(const FederationCoordinator&) = delete;
   FederationCoordinator& operator=(const FederationCoordinator&) = delete;
 
-  // Optional locality source for locality-first routing. Machine ids passed
-  // to / received from it are *global* ids. Not owned.
-  void set_locality(const DataLocalityInterface* locality) { locality_ = locality; }
-
   // --- producer events (global ids; same shapes as FirmamentScheduler) ---
   RackId AddRack();
   MachineId AddMachine(RackId rack, const MachineSpec& spec);
@@ -127,9 +118,8 @@ class FederationCoordinator {
                   std::vector<TaskId>* global_task_ids = nullptr);
   void CompleteTask(TaskId task, SimTime now);
 
-  // One federated round: split the solve budget, run every non-idle, dirty
-  // cell's scheduling round (concurrently when the pool has workers), merge,
-  // then run the move pass.
+  // One federated round: start every non-idle, dirty cell's scheduling
+  // round, apply them in cell order and merge, then run the move pass.
   FederationRoundResult RunRound(SimTime now);
 
   // --- introspection -----------------------------------------------------
@@ -148,9 +138,6 @@ class FederationCoordinator {
   uint32_t CellOfMachine(MachineId machine) const;
   int64_t TotalSlots() const;
   int64_t UsedSlots() const;
-  // Per-cell budget shares computed by the last RunRound (µs; 0 = none
-  // assigned). Empty until the first round.
-  const std::vector<uint64_t>& last_budget_split() const { return last_budget_split_; }
 
   // Summing views over the per-cell (cell-local) counters, plus the
   // coordinator's own ignores for events it could not route (unknown global
@@ -183,7 +170,7 @@ class FederationCoordinator {
   };
 
   int64_t CellHeadroom(uint32_t cell) const;
-  uint32_t RouteJob(const std::vector<TaskDescriptor>& tasks);
+  uint32_t RouteJob() const;
   bool FullyWaiting(const JobRoute& route) const;
   // Withdraws every live task of a fully-waiting `job` from its cell and
   // resubmits them to `target_cell`, banking the wait accrued so far.
@@ -191,14 +178,11 @@ class FederationCoordinator {
                FederationRoundResult* result);
   // The end-of-round move pass (see the contract above).
   void MoveStuckJobs(SimTime now, FederationRoundResult* result);
-  void SplitSolveBudget();
   void MergeCellRound(CellScheduler& cell, const SchedulerRoundResult& round,
                       FederationRoundResult* result);
 
   FederationOptions options_;
   std::vector<std::unique_ptr<CellScheduler>> cells_;
-  std::unique_ptr<ThreadPool> pool_;
-  const DataLocalityInterface* locality_ = nullptr;
 
   TaskId next_global_task_ = 0;
   JobId next_global_job_ = 0;
@@ -213,7 +197,6 @@ class FederationCoordinator {
   // leaves the cell with zero waiting tasks (see the clean-cell contract
   // above). All mutations happen on the round-driving thread.
   std::vector<uint8_t> cell_dirty_;
-  std::vector<uint64_t> last_budget_split_;
 
   FederationCounters counters_;
   // Ignores for events the coordinator could not route to any cell.

@@ -338,8 +338,8 @@ void SchedulerService::StartServiceRound() {
   pending_round_work_ = false;
   if (federation_ != nullptr) {
     // Federated rounds are synchronous from the loop's point of view: the
-    // coordinator overlaps across cells internally (its ThreadPool), not
-    // across ingest, so the pipeline knob does not apply.
+    // cells' solves overlap each other (each on its own scheduler's dispatch
+    // worker), not ingest, so the pipeline knob does not apply.
     FederationRoundResult round = federation_->RunRound(clock_->Now());
     AccountRound(round.merged);
     if (round.needs_followup) {

@@ -68,7 +68,7 @@ uint64_t RacingSolver::CostScalingDelayUs(const FlowNetwork& network) {
 void RacingSolver::SolveAsync(FlowNetwork* network) {
   CHECK(!async_in_flight_);
   if (async_worker_ == nullptr) {
-    async_worker_ = std::make_unique<ThreadPool>(1);
+    async_worker_ = std::make_unique<WorkerThread>();
   }
   async_in_flight_ = true;
   async_ticket_ = async_worker_->Submit([this, network] { async_result_ = Solve(network); });
@@ -137,11 +137,11 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   // The cost-scaling leg runs on a persistent worker instead of a freshly
   // spawned std::thread: thread creation costs tens of microseconds of
   // kernel work on the round's critical path (comparable to a whole warm
-  // solve on small clusters), a pooled wakeup costs a futex. dispatch_us
+  // solve on small clusters), a wakeup costs a futex. dispatch_us
   // records the handoff latency actually paid this round.
   if (worker_ == nullptr) {
-    worker_ = std::make_unique<ThreadPool>(1);
-    worker_spawns_ += worker_->num_threads();
+    worker_ = std::make_unique<WorkerThread>();
+    ++worker_spawns_;
   }
   // Stagger handshake: the leg syncs its view, then sleeps until either
   // relaxation finishes (the leg never solves) or release_at passes.
@@ -157,7 +157,7 @@ SolveStats RacingSolver::SolveRace(FlowNetwork* network) {
   uint64_t cs_start_us = RoundStats::kNotStarted;
   uint64_t cs_finish_us = 0;
   SolveStats cs_stats;
-  ThreadPool::Ticket cs_ticket = worker_->Submit([&] {
+  WorkerThread::Ticket cs_ticket = worker_->Submit([&] {
     dispatch_us.store(race_timer.ElapsedMicros(), std::memory_order_relaxed);
     // The view syncs even if the leg never solves: Solve() clears the
     // journal after the race, and the next round patches from there.

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "src/base/thread_pool.h"
+#include "src/base/worker_thread.h"
 #include "src/solvers/cost_scaling.h"
 #include "src/solvers/mcmf_solver.h"
 #include "src/solvers/relaxation.h"
@@ -130,7 +130,7 @@ class RacingSolver {
 
   // Threads ever spawned for the race's cost-scaling worker — a *monotonic*
   // counter, so a regression back to per-round workers (recreating the
-  // pool each Solve) shows up as a number that grows with rounds, not as a
+  // worker each Solve) shows up as a number that grows with rounds, not as a
   // constant 1. The persistent worker keeps it at 1 no matter how many
   // rounds ran; 0 before the first race. Exposed for the spawn-free
   // regression test.
@@ -149,7 +149,7 @@ class RacingSolver {
   RoundStats last_round_;
   // Persistent worker for the cost-scaling leg of the race; created lazily
   // on the first kRace round so single-algorithm modes never hold a thread.
-  std::unique_ptr<ThreadPool> worker_;
+  std::unique_ptr<WorkerThread> worker_;
   size_t worker_spawns_ = 0;
   // Runtimes of relaxation's last completed race solves (a ring), from
   // which the cost-scaling leg's stagger deadline is derived.
@@ -158,8 +158,8 @@ class RacingSolver {
   // Persistent dispatch worker for SolveAsync; lazy so synchronous callers
   // never hold the extra thread. async_result_ is written on the worker and
   // read after the ticket's Wait/Done, which order the accesses.
-  std::unique_ptr<ThreadPool> async_worker_;
-  ThreadPool::Ticket async_ticket_;
+  std::unique_ptr<WorkerThread> async_worker_;
+  WorkerThread::Ticket async_ticket_;
   SolveStats async_result_;
   bool async_in_flight_ = false;
 };

@@ -5,9 +5,9 @@
 // wins without a move), cells=1 byte-identical to the centralized
 // scheduler, a whole-rack/whole-cell failure storm driven by the seeded
 // FaultInjector with per-cell integrity checking on, counter sum-equality
-// across the coordinator's summing views, and the proportional
-// solve-budget split. The coordinator's concurrent cell rounds run with a
-// forced worker pool here so the TSan leg exercises the share-nothing claim.
+// across the coordinator's summing views, and a starvation solve budget
+// degrading the merged round. Every multi-cell round solves its running
+// cells concurrently, so the TSan leg exercises the share-nothing claim.
 
 #include <algorithm>
 #include <map>
@@ -44,37 +44,6 @@ std::vector<TaskDescriptor> MakeTasks(size_t n, SimTime runtime = 3600 * kSec) {
   std::vector<TaskDescriptor> tasks(n);
   for (TaskDescriptor& task : tasks) {
     task.runtime = runtime;
-  }
-  return tasks;
-}
-
-// Locality stub pinning a task to the machines named in its input_blocks
-// (interpreted as *global* machine ids), each holding input_size_bytes.
-class PinnedLocality : public DataLocalityInterface {
- public:
-  int64_t BytesOnMachine(const TaskDescriptor& task, MachineId machine) const override {
-    for (uint64_t block : task.input_blocks) {
-      if (static_cast<MachineId>(block) == machine) {
-        return static_cast<int64_t>(task.input_size_bytes);
-      }
-    }
-    return 0;
-  }
-  int64_t BytesInRack(const TaskDescriptor&, RackId) const override { return 0; }
-  void CandidateMachines(const TaskDescriptor& task,
-                         std::vector<MachineId>* out) const override {
-    for (uint64_t block : task.input_blocks) {
-      out->push_back(static_cast<MachineId>(block));
-    }
-  }
-};
-
-std::vector<TaskDescriptor> MakePinnedTasks(size_t n, MachineId global_machine,
-                                            SimTime runtime = 3600 * kSec) {
-  std::vector<TaskDescriptor> tasks = MakeTasks(n, runtime);
-  for (TaskDescriptor& task : tasks) {
-    task.input_size_bytes = 1 << 20;
-    task.input_blocks = {global_machine};
   }
   return tasks;
 }
@@ -178,18 +147,6 @@ TEST(FederationRoutingTest, SameSeedSameAssignment) {
   // Least-loaded routing must actually spread: every cell sees jobs.
   std::set<uint32_t> used(a.begin(), a.end());
   EXPECT_EQ(used.size(), 4u);
-}
-
-TEST(FederationRoutingTest, LocalityWinsWhenCellHasRoom) {
-  FedEnv env(/*cells=*/2, /*racks=*/2, /*machines_per_rack=*/2, /*slots=*/8);
-  PinnedLocality locality;
-  env.fed->set_locality(&locality);
-  // Rack 1 -> cell 1; pin the job's bytes onto one of its machines.
-  MachineId target = env.rack_machines[1][0];
-  JobId job =
-      env.fed->SubmitJob(JobType::kBatch, 0, MakePinnedTasks(4, target), 0);
-  EXPECT_EQ(env.fed->CellOfJob(job), 1u);
-  EXPECT_EQ(env.fed->counters().jobs_routed_by_locality, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +490,6 @@ TEST(FederationEquivalenceTest, OneCellByteIdenticalToCentralized) {
 TEST(FederationStormTest, WholeCellRackDeathFailsOverClean) {
   FederationOptions options;
   options.cell.check_integrity = true;  // IntegrityChecker per cell per round
-  options.threads = 3;                  // force concurrent cell rounds (TSan)
   FedEnv env(/*cells=*/4, /*racks=*/4, /*machines_per_rack=*/8, /*slots=*/8, options);
 
   // ~62% load so three surviving cells can absorb the fourth's work.
@@ -653,44 +609,13 @@ TEST(FederationCountersTest, SummedViewsEqualPerCellSums) {
 }
 
 // ---------------------------------------------------------------------------
-// Solve-budget split: proportional to live graph size, never zero for a
-// solving cell, sum bounded by the global budget; a starvation budget
-// degrades the merged round.
+// Solve budget: each cell keeps the whole per-cell budget; a starvation
+// budget degrades the merged round and leaves no cell round in flight.
 // ---------------------------------------------------------------------------
-
-TEST(FederationBudgetTest, SplitProportionalToLiveGraphSize) {
-  FederationOptions options;
-  options.solve_budget_us = 10'000;
-  FedEnv env(/*cells=*/2, /*racks=*/2, /*machines_per_rack=*/4, /*slots=*/8, options);
-  PinnedLocality locality;
-  env.fed->set_locality(&locality);
-  // Asymmetric load: a large job pinned to cell 0, a small one to cell 1.
-  env.fed->SubmitJob(JobType::kBatch, 0,
-                     MakePinnedTasks(24, env.rack_machines[0][0]), 0);
-  env.fed->SubmitJob(JobType::kBatch, 0,
-                     MakePinnedTasks(4, env.rack_machines[1][0]), 0);
-  env.fed->RunRound(kSec);  // materializes both cell graphs
-
-  const size_t nodes0 = env.fed->cell(0).LiveGraphNodes();
-  const size_t nodes1 = env.fed->cell(1).LiveGraphNodes();
-  ASSERT_GT(nodes0, nodes1);
-  env.fed->RunRound(2 * kSec);
-  const std::vector<uint64_t>& split = env.fed->last_budget_split();
-  ASSERT_EQ(split.size(), 2u);
-  // Exact proportional floor split of the global budget.
-  EXPECT_EQ(split[0], options.solve_budget_us * nodes0 / (nodes0 + nodes1));
-  EXPECT_EQ(split[1], options.solve_budget_us * nodes1 / (nodes0 + nodes1));
-  EXPECT_GT(split[0], split[1]);
-  EXPECT_GT(split[1], 0u);
-  EXPECT_LE(split[0] + split[1], options.solve_budget_us);
-  // The shares really landed in the cells' solvers.
-  EXPECT_EQ(env.fed->cell(0).scheduler().solver().options().solve_budget_us, split[0]);
-  EXPECT_EQ(env.fed->cell(1).scheduler().solver().options().solve_budget_us, split[1]);
-}
 
 TEST(FederationBudgetTest, StarvationBudgetDegradesMergedRound) {
   FederationOptions options;
-  options.solve_budget_us = 2;  // ~1µs per cell: nothing useful can finish
+  options.cell.solver.solve_budget_us = 1;  // nothing useful can finish
   FedEnv env(/*cells=*/2, /*racks=*/2, /*machines_per_rack=*/24, /*slots=*/8, options);
   for (int j = 0; j < 12; ++j) {
     env.fed->SubmitJob(JobType::kBatch, 0, MakeTasks(24), 0);
@@ -698,6 +623,10 @@ TEST(FederationBudgetTest, StarvationBudgetDegradesMergedRound) {
   FederationRoundResult round = env.fed->RunRound(kSec);
   EXPECT_EQ(round.merged.outcome, SolveOutcome::kDegraded);
   EXPECT_TRUE(round.needs_followup);
+  for (size_t c = 0; c < env.fed->num_cells(); ++c) {
+    EXPECT_EQ(env.fed->cell(c).scheduler().solver().options().solve_budget_us, 1u);
+    EXPECT_FALSE(env.fed->cell(c).scheduler().round_in_flight());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -710,7 +639,6 @@ TEST(FederationServiceTest, FederatedServiceEndToEnd) {
   SchedulerServiceOptions options;
   options.cells = 4;
   options.cell_policy_factory = LoadSpreadFactory();
-  options.federation.threads = 3;  // concurrent cell rounds under TSan
   options.machines_per_rack = 8;
   SchedulerService service(nullptr, &clock, options);
   for (int m = 0; m < 32; ++m) {
